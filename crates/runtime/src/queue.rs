@@ -9,8 +9,43 @@
 //! Ties between equally dense identities break by a seeded hash (then by
 //! id), so shedding is deterministic per seed without any RNG state to
 //! checkpoint.
+//!
+//! # Cost model
+//!
+//! Below capacity the queue is a plain FIFO: [`BeaconQueue::offer`]
+//! pushes, [`BeaconQueue::drain_until`] pops, and neither keeps any
+//! per-identity state. The attacker chooses how many beacons arrive, so
+//! shedding must not cost a scan of the queue:
+//!
+//! * The first shed at capacity builds a shedding index with one scan of
+//!   the queue in order: for each queued identity, its tie-break (hashed
+//!   once) and a FIFO of its beacons' queue positions, plus an ordered
+//!   set of `(count, tie-break, id)` whose largest element names the
+//!   victim.
+//! * While the queue stays full every offer sheds, and the shed and the
+//!   offer each update the index in O(log k) for k queued identities
+//!   (amortised over compactions).
+//! * An identity leaves the index with its last live beacon, so the
+//!   index never holds more than `capacity` identities, however many the
+//!   attacker churns through.
+//! * The next drain drops the index, so the scan that builds it runs at
+//!   most once between two drains (once per detection round in
+//!   `StreamingRuntime`).
+//!
+//! A shed beacon is not removed from the middle of the deque. Its slot is
+//! marked dead in place — a NaN arrival time, which no live beacon can
+//! carry because `offer` quarantines non-finite arrivals — and `len`,
+//! `drain_until` and `snapshot` skip it. Once more than `capacity / 4`
+//! slots are dead they are compacted in one pass, so live plus dead
+//! slots never exceed `capacity + capacity / 4`.
+//!
+//! The victim is the one a scan of every queued identity would pick: the
+//! largest `(count, tie-break, id)`, then that identity's oldest queued
+//! beacon. The queue's contents, snapshots and every verdict downstream
+//! are therefore the same as with the scan (`tests/queue_oracle.rs` runs
+//! the scan as a reference).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vp_fault::Beacon;
 
@@ -24,15 +59,42 @@ pub struct QueuedBeacon {
     pub beacon: Beacon,
 }
 
+impl QueuedBeacon {
+    /// `false` for a slot whose beacon was shed (see the module docs).
+    fn is_live(&self) -> bool {
+        !self.arrival_s.is_nan()
+    }
+}
+
 /// Bounded FIFO of decoded beacons with densest-first shedding.
 #[derive(Debug, Clone)]
 pub struct BeaconQueue {
     capacity: usize,
     seed: u64,
-    items: VecDeque<QueuedBeacon>,
-    counts: HashMap<u64, usize>,
+    /// Live beacons in queue order, interleaved with dead (shed) slots.
+    slots: VecDeque<QueuedBeacon>,
+    dead: usize,
+    /// Present from the first shed at capacity until the next drain.
+    index: Option<ShedIndex>,
     shed: u64,
     quarantined: u64,
+}
+
+/// The shedding index of a full queue (see the module docs).
+#[derive(Debug, Clone)]
+struct ShedIndex {
+    identities: BTreeMap<u64, Identity>,
+    /// `(count, tie-break, id)` of every identity with a live beacon; the
+    /// last element is the next victim.
+    order: BTreeSet<(usize, u64, u64)>,
+}
+
+/// One queued identity's entry in the [`ShedIndex`].
+#[derive(Debug, Clone)]
+struct Identity {
+    tie: u64,
+    /// Slot positions of the identity's live beacons, oldest first.
+    positions: VecDeque<usize>,
 }
 
 /// FNV-1a over the id bytes, keyed by the queue seed: the deterministic
@@ -46,14 +108,85 @@ fn tie_break(seed: u64, id: u64) -> u64 {
     h
 }
 
+impl Identity {
+    /// A new entry: the one place its tie-break is hashed.
+    fn new(seed: u64, id: u64) -> Self {
+        Identity {
+            tie: tie_break(seed, id),
+            positions: VecDeque::new(),
+        }
+    }
+}
+
+impl ShedIndex {
+    /// Indexes the live slots with one scan in queue order.
+    fn build(seed: u64, slots: &VecDeque<QueuedBeacon>) -> Self {
+        let mut identities = BTreeMap::new();
+        for (pos, slot) in slots.iter().enumerate().filter(|(_, s)| s.is_live()) {
+            let id = slot.beacon.identity;
+            identities
+                .entry(id)
+                .or_insert_with(|| Identity::new(seed, id))
+                .positions
+                .push_back(pos);
+        }
+        let order = identities
+            .iter()
+            .map(|(&id, e)| (e.positions.len(), e.tie, id))
+            .collect();
+        ShedIndex { identities, order }
+    }
+
+    /// Removes the victim from the index and returns its slot position.
+    /// An identity left with no live beacon leaves the index, so identity
+    /// churn cannot grow it past the queue's capacity.
+    fn pop_victim(&mut self) -> Option<usize> {
+        let (count, tie, id) = self.order.pop_last()?;
+        if count > 1 {
+            self.order.insert((count - 1, tie, id));
+            self.identities.get_mut(&id)?.positions.pop_front()
+        } else {
+            self.identities.remove(&id)?.positions.pop_front()
+        }
+    }
+
+    /// Records a beacon of `id` appended at slot position `pos`.
+    fn push(&mut self, seed: u64, id: u64, pos: usize) {
+        let e = self
+            .identities
+            .entry(id)
+            .or_insert_with(|| Identity::new(seed, id));
+        let count = e.positions.len();
+        if count > 0 {
+            self.order.remove(&(count, e.tie, id));
+        }
+        e.positions.push_back(pos);
+        self.order.insert((count + 1, e.tie, id));
+    }
+
+    /// Re-reads every position after the slots were compacted; counts,
+    /// and so `order`, are unchanged.
+    fn reposition(&mut self, slots: &VecDeque<QueuedBeacon>) {
+        for e in self.identities.values_mut() {
+            e.positions.clear();
+        }
+        for (pos, slot) in slots.iter().enumerate() {
+            if let Some(e) = self.identities.get_mut(&slot.beacon.identity) {
+                e.positions.push_back(pos);
+            }
+        }
+    }
+}
+
 impl BeaconQueue {
     /// Creates a queue holding at most `capacity` beacons (floored at 1).
     pub fn new(capacity: usize, seed: u64) -> Self {
         BeaconQueue {
             capacity: capacity.max(1),
             seed,
-            items: VecDeque::new(),
-            counts: HashMap::new(),
+            slots: VecDeque::new(),
+            dead: 0,
+            index: None,
             shed: 0,
             quarantined: 0,
         }
@@ -61,12 +194,12 @@ impl BeaconQueue {
 
     /// Number of queued beacons.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.slots.len() - self.dead
     }
 
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len() == 0
     }
 
     /// Total beacons shed since construction (or restore).
@@ -100,41 +233,32 @@ impl BeaconQueue {
             self.quarantined += 1;
             return true;
         }
-        let clean = if self.items.len() >= self.capacity {
+        let clean = self.len() < self.capacity;
+        if !clean {
             self.shed_one();
-            false
-        } else {
-            true
-        };
-        *self.counts.entry(qb.beacon.identity).or_insert(0) += 1;
-        self.items.push_back(qb);
+        }
+        if let Some(index) = &mut self.index {
+            index.push(self.seed, qb.beacon.identity, self.slots.len());
+        }
+        self.slots.push_back(qb);
         clean
     }
 
     /// Sheds the oldest queued beacon of the densest identity.
     fn shed_one(&mut self) {
-        let Some((&victim, _)) = self
-            .counts
-            // vp-lint: allow(nondeterministic-iteration) — max_by_key key (count, seeded hash, unique id) is a total order, so the victim is hasher-independent (pinned by tests/determinism_hasher.rs)
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .max_by_key(|(&id, &c)| (c, tie_break(self.seed, id), id))
-        else {
+        let index = self
+            .index
+            .get_or_insert_with(|| ShedIndex::build(self.seed, &self.slots));
+        let Some(slot) = index.pop_victim().and_then(|pos| self.slots.get_mut(pos)) else {
             return;
         };
-        if let Some(pos) = self.items.iter().position(|q| q.beacon.identity == victim) {
-            self.items.remove(pos);
-            self.decrement(victim);
-            self.shed += 1;
-        }
-    }
-
-    fn decrement(&mut self, id: u64) {
-        if let Some(c) = self.counts.get_mut(&id) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(&id);
-            }
+        slot.arrival_s = f64::NAN;
+        self.dead += 1;
+        self.shed += 1;
+        if self.dead > self.capacity / 4 {
+            self.slots.retain(QueuedBeacon::is_live);
+            self.dead = 0;
+            index.reposition(&self.slots);
         }
     }
 
@@ -143,24 +267,25 @@ impl BeaconQueue {
     /// boundary belongs to the *next* window, matching the batch engine's
     /// interval bookkeeping.
     pub fn drain_until(&mut self, t_s: f64) -> Vec<QueuedBeacon> {
+        self.index = None;
         let mut out = Vec::new();
-        while self
-            .items
-            .front()
-            .is_some_and(|front| front.arrival_s < t_s)
-        {
-            let Some(qb) = self.items.pop_front() else {
+        while let Some(&front) = self.slots.front() {
+            if !front.is_live() {
+                self.dead -= 1;
+            } else if front.arrival_s < t_s {
+                out.push(front);
+            } else {
                 break;
-            };
-            self.decrement(qb.beacon.identity);
-            out.push(qb);
+            }
+            self.slots.pop_front();
         }
         out
     }
 
     /// Serializable view: `(shed count, queued beacons in order)`.
     pub fn snapshot(&self) -> (u64, Vec<QueuedBeacon>) {
-        (self.shed, self.items.iter().copied().collect())
+        let items = self.slots.iter().filter(|s| s.is_live()).copied();
+        (self.shed, items.collect())
     }
 
     /// Rebuilds a queue from a [`BeaconQueue::snapshot`], under a
@@ -280,6 +405,36 @@ mod tests {
             (1..8).any(|s| run(s) != baseline),
             "tie-break ignores the seed"
         );
+    }
+
+    #[test]
+    fn an_endless_storm_keeps_memory_within_the_slot_bound() {
+        assert_eq!(std::mem::size_of::<QueuedBeacon>(), 32);
+        let capacity = 100;
+        // Three identities of skewed density, then a fresh identity per
+        // beacon (churn).
+        let storms: [fn(usize) -> u64; 2] = [|k| [7, 7, 8, 9][k % 4], |k| k as u64];
+        for (storm, identity) in storms.into_iter().enumerate() {
+            let mut q = BeaconQueue::new(capacity, 9);
+            let mut most_slots = 0;
+            for k in 0..200_000 + capacity {
+                q.offer(qb(identity(k), k as f64 * 0.01));
+                assert_eq!(q.len(), capacity.min(k + 1), "storm {storm} offer {k}");
+                let slots = q.slots.len();
+                assert!(
+                    slots <= capacity + capacity / 4,
+                    "storm {storm} offer {k}: {slots} slots"
+                );
+                let indexed = q.index.as_ref().map_or(0, |i| i.identities.len());
+                assert!(
+                    indexed <= capacity,
+                    "storm {storm} offer {k}: {indexed} identities indexed"
+                );
+                most_slots = most_slots.max(slots);
+            }
+            assert_eq!(q.shed_count(), 200_000, "storm {storm}");
+            assert!(most_slots > capacity, "storm {storm}: no dead slot");
+        }
     }
 
     #[test]

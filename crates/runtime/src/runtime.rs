@@ -768,7 +768,12 @@ mod tests {
     /// so every window carries bit-identical RSSI sequences — the shape
     /// the cross-window cache is designed for.
     fn feed_window(rt: &mut StreamingRuntime, t0: f64, honest: u64) {
-        for k in 0..150 {
+        feed_samples(rt, t0, honest, 0..150);
+    }
+
+    /// Samples `ks` of the window [`feed_window`] feeds.
+    fn feed_samples(rt: &mut StreamingRuntime, t0: f64, honest: u64, ks: std::ops::Range<usize>) {
+        for k in ks {
             let u = 0.05 + k as f64 * 0.1;
             let t = t0 + u;
             let shape = (u * 1.3).sin() * 4.0 + (u * 0.37).cos() * 2.0;
@@ -941,6 +946,37 @@ mod tests {
             ra.verdict.threshold().to_bits(),
             rb.verdict.threshold().to_bits()
         );
+    }
+
+    #[test]
+    fn checkpoint_taken_mid_storm_restores_bit_exactly() {
+        let mut config = test_config();
+        config.queue_capacity = 400;
+        let mut a = StreamingRuntime::new(config.clone()).unwrap();
+        feed_window(&mut a, 0.0, 3); // 750 offers, 350 shed
+        a.advance_to(20.0);
+        // 600 offers into 400 slots shed 200 mid-window. Dead slots are
+        // compacted only once more than 100 exist, so 99 are still queued
+        // when the checkpoint is taken.
+        feed_samples(&mut a, 20.0, 3, 0..120);
+        assert_eq!(a.counters().samples_shed, 350 + 200);
+        let snapshot = a.checkpoint();
+        let mut b = StreamingRuntime::restore(config, &snapshot).unwrap();
+        assert_eq!(b.checkpoint(), snapshot);
+
+        // The same tail, still shedding, then a window more.
+        let tail = |rt: &mut StreamingRuntime| {
+            feed_samples(rt, 20.0, 3, 120..150);
+            let mut outcomes = rt.advance_to(40.0);
+            feed_window(rt, 40.0, 3);
+            outcomes.extend(rt.advance_to(60.0));
+            outcomes
+        };
+        let (ra, rb) = (tail(&mut a), tail(&mut b));
+        assert_eq!(ra.len(), 2);
+        assert_eq!(ra, rb);
+        assert_eq!(a.counters(), b.counters());
+        assert_eq!(a.checkpoint(), b.checkpoint());
     }
 
     #[test]
