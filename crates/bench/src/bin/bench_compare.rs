@@ -383,9 +383,9 @@ fn smoke() {
     let policy = ThresholdPolicy::paper_simulation();
     let exact_cfg = ComparisonConfig::default();
     // Verdict identity holds when the prune threshold equals the confirm
-    // threshold (the `VoiceprintDetector::with_pruning` coupling): every
-    // pruned pair's stored lower bound then sits strictly above the very
-    // threshold confirmation classifies against.
+    // threshold, as the streaming runtime arms it in a degraded round:
+    // every pruned pair's stored lower bound then sits strictly above the
+    // very threshold confirmation classifies against.
     let cascade_cfg = ComparisonConfig {
         prune_threshold: Some(policy.threshold_at(density)),
         ..exact_cfg

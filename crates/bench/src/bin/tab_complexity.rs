@@ -5,14 +5,17 @@
 //! Wall-clock measurement of the same two quantities on the machine it
 //! runs on, plus the per-pair cost of the banded DTW kernel the
 //! calibrated default uses (radius 10, 5% of 200 samples) and of exact
-//! DTW, for scale. Whole-round costs live in `bench_compare` and the
-//! repository benchmark's `paper80` workload.
+//! DTW, for scale. Every row calls the kernel the comparator runs for
+//! that measure, with one reused `DtwScratch`, as a comparison worker
+//! does. Whole-round costs live in `bench_compare` and the repository
+//! benchmark's `paper80` workload.
 
 use std::hint::black_box;
 use std::time::Instant;
 use vp_timeseries::dtw::{dtw, dtw_banded};
 use vp_timeseries::fastdtw::fast_dtw;
 use vp_timeseries::normalize::z_score_enhanced;
+use vp_timeseries::DtwScratch;
 
 fn series(n: usize, phase: f64) -> Vec<f64> {
     (0..n)
@@ -20,18 +23,20 @@ fn series(n: usize, phase: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Mean milliseconds of one `kernel(a, b)` call over `reps` calls; the
-/// distances are summed into `acc` so the work cannot be elided.
+/// Mean milliseconds of one `kernel(a, b, scratch)` call over `reps`
+/// calls on one reused scratch; the distances are summed into `acc` so
+/// the work cannot be elided.
 fn per_pair_ms(
     a: &[f64],
     b: &[f64],
     reps: usize,
     acc: &mut f64,
-    kernel: impl Fn(&[f64], &[f64]) -> f64,
+    kernel: impl Fn(&[f64], &[f64], &mut DtwScratch) -> f64,
 ) -> f64 {
+    let mut scratch = DtwScratch::new();
     let t0 = Instant::now();
     for _ in 0..reps {
-        *acc += kernel(black_box(a), black_box(b));
+        *acc += kernel(black_box(a), black_box(b), &mut scratch);
     }
     t0.elapsed().as_secs_f64() * 1e3 / reps as f64
 }
@@ -43,11 +48,13 @@ fn main() {
     let mut acc = 0.0;
     println!(
         "pair comparison (200-sample FastDTW r=1): {:.4} ms  [paper: 0.1995 ms]",
-        per_pair_ms(&a, &b, 2000, &mut acc, |x, y| fast_dtw(x, y, 1))
+        per_pair_ms(&a, &b, 2000, &mut acc, |x, y, s| fast_dtw(x, y, 1, s))
     );
     println!(
         "pair comparison (200-sample banded r=10): {:.4} ms  [calibrated default]",
-        per_pair_ms(&a, &b, 2000, &mut acc, |x, y| dtw_banded(x, y, 10))
+        per_pair_ms(&a, &b, 2000, &mut acc, |x, y, s| {
+            dtw_banded(x, y, 10, None, s).value()
+        })
     );
     println!(
         "pair comparison (200-sample exact DTW):   {:.4} ms",
@@ -58,10 +65,11 @@ fn main() {
     let neighbours: Vec<Vec<f64>> = (0..80)
         .map(|k| z_score_enhanced(&series(200, k as f64 * 0.3)))
         .collect();
+    let mut scratch = DtwScratch::new();
     let t0 = Instant::now();
     for i in 0..neighbours.len() {
         for j in (i + 1)..neighbours.len() {
-            acc += fast_dtw(&neighbours[i], &neighbours[j], 1);
+            acc += fast_dtw(&neighbours[i], &neighbours[j], 1, &mut scratch);
         }
     }
     let scan = t0.elapsed().as_secs_f64();

@@ -8,6 +8,7 @@
 
 use vp_timeseries::fastdtw::fast_dtw;
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
+use vp_timeseries::DtwScratch;
 
 /// Algorithm 1, "Voiceprint".
 ///
@@ -32,9 +33,10 @@ pub fn algorithm_1(rssi: &[Vec<f64>], ids: &[u64], den: f64, k: f64, b: f64) -> 
     let normalized: Vec<Vec<f64>> = rssi.iter().map(|s| z_score_enhanced(s)).collect();
     // Lines 4–10: D_DTW(i,j) ← FastDTW(RSSI_i, RSSI_j) for i < j.
     let mut d_dtw = Vec::with_capacity(n.saturating_sub(1) * n / 2);
+    let mut scratch = DtwScratch::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            d_dtw.push(fast_dtw(&normalized[i], &normalized[j], 1));
+            d_dtw.push(fast_dtw(&normalized[i], &normalized[j], 1, &mut scratch));
         }
     }
     // Line 11: D_DTW ← Min-max-normalization(D_DTW).

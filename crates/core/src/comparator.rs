@@ -12,13 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vp_fault::DegradationCounters;
 use vp_par::{par_fill_with_cancel, par_fill_with_threads, CancelToken};
 use vp_timeseries::distance::squared_euclidean;
-use vp_timeseries::dtw::BoundedDistance;
-use vp_timeseries::dtw::{
-    dtw_banded_prunable_with_scratch, dtw_banded_prunable_x4_with_scratch, dtw_banded_with_scratch,
-    dtw_banded_x4_with_scratch, dtw_with_scratch,
-};
-use vp_timeseries::fastdtw::fast_dtw_with_scratch;
-use vp_timeseries::lowerbound::{lb_keogh_banded_with_scratch, lb_keogh_banded_x4_with_scratch};
+use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
+use vp_timeseries::fastdtw::fast_dtw;
+use vp_timeseries::lowerbound::lb_keogh_banded;
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
 use vp_timeseries::scratch::DtwScratch;
 use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch};
@@ -115,10 +111,6 @@ pub struct ComparisonConfig {
     /// `distance <= prune_threshold` is unchanged, exactly like the
     /// LB_Keogh prune it short-circuits.
     pub sketch_triage: bool,
-    /// Use the 4-lane unrolled banded-DTW and LB_Keogh kernels. Results
-    /// are bit-identical to the scalar kernels (pinned by property tests);
-    /// the switch exists for ablation and perf bisection only.
-    pub simd_unroll: bool,
 }
 
 impl Default for ComparisonConfig {
@@ -131,7 +123,6 @@ impl Default for ComparisonConfig {
             min_series_len: 100,
             prune_threshold: None,
             sketch_triage: true,
-            simd_unroll: true,
         }
     }
 }
@@ -149,7 +140,6 @@ impl ComparisonConfig {
             min_series_len: 10,
             prune_threshold: None,
             sketch_triage: true,
-            simd_unroll: true,
         }
     }
 
@@ -166,10 +156,6 @@ impl ComparisonConfig {
 
     /// FNV-1a fingerprint of every field that can change a *stored*
     /// pair distance, used as the cache-key configuration component.
-    /// `simd_unroll` is deliberately excluded: the unrolled kernels are
-    /// bit-identical to the scalar ones (that contract is pinned by
-    /// property tests), so results cached under either setting are
-    /// interchangeable.
     fn fingerprint(&self) -> u64 {
         let mut words = [0u64; 9];
         match self.measure {
@@ -570,10 +556,9 @@ fn compare_impl(
                 threads,
                 token,
                 &stats,
-                |_, _, a, b, _, s| fast_dtw_with_scratch(a, b, radius, s),
+                |_, _, a, b, _, s| fast_dtw(a, b, radius, s),
             ),
             DistanceMeasure::BandedDtw { band_fraction } => {
-                let simd = config.simd_unroll;
                 match config.effective_prune_threshold() {
                     None => fill_pairs(
                         slots,
@@ -584,12 +569,7 @@ fn compare_impl(
                         token,
                         &stats,
                         |_, _, a, b, max_len, s| {
-                            let band = band_width(max_len, band_fraction);
-                            if simd {
-                                dtw_banded_x4_with_scratch(a, b, band, s)
-                            } else {
-                                dtw_banded_with_scratch(a, b, band, s)
-                            }
+                            dtw_banded(a, b, band_width(max_len, band_fraction), None, s).value()
                         },
                     ),
                     Some(t) => {
@@ -617,22 +597,13 @@ fn compare_impl(
                                     }
                                 }
                                 // Stage 2: linear-cost LB_Keogh.
-                                let lb = if simd {
-                                    lb_keogh_banded_x4_with_scratch(a, b, band, s)
-                                } else {
-                                    lb_keogh_banded_with_scratch(a, b, band, s)
-                                };
+                                let lb = lb_keogh_banded(a, b, band, s);
                                 if lb > t_raw {
                                     tally_ref.pruned_lb.fetch_add(1, Ordering::Relaxed);
                                     lb
                                 } else {
                                     // Stage 3: banded DP with early abandon.
-                                    let bounded = if simd {
-                                        dtw_banded_prunable_x4_with_scratch(a, b, band, t_raw, s)
-                                    } else {
-                                        dtw_banded_prunable_with_scratch(a, b, band, t_raw, s)
-                                    };
-                                    match bounded {
+                                    match dtw_banded(a, b, band, Some(t_raw), s) {
                                         BoundedDistance::Exact(v) => v,
                                         BoundedDistance::AboveThreshold(v) => {
                                             tally_ref
@@ -655,7 +626,7 @@ fn compare_impl(
                 threads,
                 token,
                 &stats,
-                |_, _, a, b, _, s| dtw_with_scratch(a, b, s),
+                |_, _, a, b, _, s| dtw(a, b, s),
             ),
             DistanceMeasure::TruncatedEuclidean => fill_pairs(
                 slots,

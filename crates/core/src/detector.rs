@@ -1,11 +1,8 @@
 //! The Voiceprint detector, packaged for the simulator.
 
-use std::sync::Mutex;
-
 use vp_sim::detector::{DetectionInput, Detector};
 
-use crate::cache::{CacheStats, ComparisonCache};
-use crate::comparator::{compare, compare_with_cache, ComparisonConfig};
+use crate::comparator::{compare, ComparisonConfig};
 use crate::confirm::{confirm, SybilVerdict};
 use crate::threshold::ThresholdPolicy;
 use crate::IdentityId;
@@ -25,55 +22,11 @@ use crate::IdentityId;
 /// let detector = VoiceprintDetector::new(ThresholdPolicy::paper_simulation());
 /// assert_eq!(detector.name(), "Voiceprint");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoiceprintDetector {
     policy: ThresholdPolicy,
     comparison: ComparisonConfig,
     name: String,
-    prune_from_policy: bool,
-    /// Optional cross-window result cache ([`ComparisonCache`]). Behind
-    /// a mutex because [`Detector::detect`] takes `&self`; a detector is
-    /// never invoked concurrently with itself (see
-    /// [`crate::multi_period`]), so the lock is uncontended.
-    cache: Option<Mutex<ComparisonCache>>,
-}
-
-// The cache is an accelerator, not identity: a clone starts with an
-// empty cache of the same capacity, and equality ignores cache contents
-// (results are bit-identical either way).
-impl Clone for VoiceprintDetector {
-    fn clone(&self) -> Self {
-        VoiceprintDetector {
-            policy: self.policy,
-            comparison: self.comparison,
-            name: self.name.clone(),
-            prune_from_policy: self.prune_from_policy,
-            cache: self
-                .cache
-                .as_ref()
-                .map(|m| Mutex::new(ComparisonCache::new(lock_cache(m).stats().capacity))),
-        }
-    }
-}
-
-impl PartialEq for VoiceprintDetector {
-    fn eq(&self, other: &Self) -> bool {
-        self.policy == other.policy
-            && self.comparison == other.comparison
-            && self.name == other.name
-            && self.prune_from_policy == other.prune_from_policy
-            && self.cache.is_some() == other.cache.is_some()
-    }
-}
-
-/// Acquires the cache lock, recovering from poisoning: the cache only
-/// holds pair distances keyed by content, so state left by a panicked
-/// holder is still internally consistent.
-fn lock_cache(m: &Mutex<ComparisonCache>) -> std::sync::MutexGuard<'_, ComparisonCache> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl VoiceprintDetector {
@@ -85,8 +38,6 @@ impl VoiceprintDetector {
             policy,
             comparison: ComparisonConfig::default(),
             name: "Voiceprint".to_owned(),
-            prune_from_policy: false,
-            cache: None,
         }
     }
 
@@ -98,8 +49,6 @@ impl VoiceprintDetector {
             policy,
             comparison: ComparisonConfig::paper_strict(),
             name: "Voiceprint-strict".to_owned(),
-            prune_from_policy: false,
-            cache: None,
         }
     }
 
@@ -115,44 +64,7 @@ impl VoiceprintDetector {
             policy,
             comparison,
             name: name.to_owned(),
-            prune_from_policy: false,
-            cache: None,
         }
-    }
-
-    /// Enables lower-bound pruning driven by the threshold policy: at each
-    /// detection the comparison threshold
-    /// [`ComparisonConfig::prune_threshold`] is set from
-    /// [`ThresholdPolicy::threshold_at`] for the observed density, letting
-    /// the banded-DTW kernel abandon pairs that provably land above the
-    /// decision threshold. Confirmation flags `distance <= threshold`
-    /// pairs, and a pruned pair's stored lower bound is strictly above the
-    /// threshold, so the suspect set (and every flagged pair) is identical
-    /// to the unpruned run. No effect for measures/normalisations where
-    /// pruning is unsound (see [`ComparisonConfig::prune_threshold`]).
-    pub fn with_pruning(mut self) -> Self {
-        self.prune_from_policy = true;
-        self
-    }
-
-    /// Enables the cross-window comparison result cache with room for
-    /// `capacity` pair results. Successive detections over a sliding
-    /// window then only pay kernel time for pairs whose prepared series
-    /// actually changed; verdicts are bit-identical to the uncached
-    /// detector (see [`ComparisonCache`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (see [`ComparisonCache::new`]).
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(Mutex::new(ComparisonCache::new(capacity)));
-        self
-    }
-
-    /// Counters of the cross-window cache, or `None` when
-    /// [`Self::with_cache`] was not applied.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|m| lock_cache(m).stats())
     }
 
     /// The threshold policy in force.
@@ -168,17 +80,7 @@ impl VoiceprintDetector {
     /// Runs comparison + confirmation on raw series, returning the full
     /// verdict (groups, flagged pairs) rather than just the suspect list.
     pub fn verdict(&self, series: &[(IdentityId, Vec<f64>)], density_per_km: f64) -> SybilVerdict {
-        let comparison = if self.prune_from_policy && self.comparison.prune_threshold.is_none() {
-            let mut comparison = self.comparison;
-            comparison.prune_threshold = Some(self.policy.threshold_at(density_per_km));
-            comparison
-        } else {
-            self.comparison
-        };
-        let distances = match &self.cache {
-            Some(m) => compare_with_cache(series, &comparison, &mut lock_cache(m)).0,
-            None => compare(series, &comparison),
-        };
+        let distances = compare(series, &self.comparison);
         confirm(&distances, density_per_km, &self.policy)
     }
 }
@@ -259,55 +161,6 @@ mod tests {
             "Voiceprint-euclid",
         );
         assert_eq!(detector.name(), "Voiceprint-euclid");
-    }
-
-    #[test]
-    fn pruning_yields_identical_verdicts() {
-        let policy = ThresholdPolicy::paper_simulation();
-        let plain = VoiceprintDetector::new(policy);
-        let pruned = VoiceprintDetector::new(policy).with_pruning();
-        let input = input_with_sybils();
-        let v_plain = plain.verdict(&input.series, input.estimated_density_per_km);
-        let v_pruned = pruned.verdict(&input.series, input.estimated_density_per_km);
-        assert_eq!(v_plain.suspects(), v_pruned.suspects());
-        assert_eq!(v_plain.groups(), v_pruned.groups());
-        assert_eq!(pruned.detect(&input), vec![100, 101, 102]);
-    }
-
-    #[test]
-    fn cached_detector_repeats_verdicts_bit_identically() {
-        let policy = ThresholdPolicy::paper_simulation();
-        let plain = VoiceprintDetector::new(policy);
-        let cached = VoiceprintDetector::new(policy).with_cache(64);
-        let input = input_with_sybils();
-        let reference = plain.verdict(&input.series, input.estimated_density_per_km);
-        // First call is all misses, second is all hits; both must match
-        // the uncached detector exactly.
-        for round in 0..2 {
-            let verdict = cached.verdict(&input.series, input.estimated_density_per_km);
-            assert_eq!(verdict.suspects(), reference.suspects(), "round {round}");
-            assert_eq!(verdict.groups(), reference.groups(), "round {round}");
-        }
-        let stats = cached.cache_stats().unwrap();
-        assert_eq!(stats.misses, 15, "6 ids -> 15 pairs missed on round 0");
-        assert_eq!(stats.hits, 15, "round 1 must be answered from cache");
-    }
-
-    #[test]
-    fn clone_starts_with_empty_cache_and_compares_equal() {
-        let cached = VoiceprintDetector::new(ThresholdPolicy::paper_simulation()).with_cache(32);
-        let input = input_with_sybils();
-        let _ = cached.verdict(&input.series, input.estimated_density_per_km);
-        assert!(cached.cache_stats().unwrap().entries > 0);
-        let fresh = cached.clone();
-        assert_eq!(fresh, cached);
-        let stats = fresh.cache_stats().unwrap();
-        assert_eq!(stats.capacity, 32);
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.hits + stats.misses, 0);
-        // Cache presence participates in equality; contents do not.
-        let uncached = VoiceprintDetector::new(ThresholdPolicy::paper_simulation());
-        assert_ne!(uncached, cached);
     }
 
     #[test]

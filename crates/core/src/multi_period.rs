@@ -346,52 +346,4 @@ mod tests {
         assert_eq!(run(9), run(9), "same seed must reproduce every period");
         assert_eq!(run(77), run(77));
     }
-
-    #[test]
-    fn cached_inner_detector_votes_identically_and_hits_across_periods() {
-        // A multi-period wrapper re-presents mostly-unchanged series every
-        // period — exactly the workload the comparison cache serves. The
-        // cached wrapper must vote bit-identically to the uncached one,
-        // and the inner cache must actually be hitting from period 1 on.
-        let series_for = |period: u64| -> Vec<(IdentityId, Vec<f64>)> {
-            (0..6u64)
-                .map(|id| {
-                    // One identity per period is "dirty" (phase shifts);
-                    // the other five repeat bit-identically.
-                    let dirty = id == period % 6;
-                    let phase = id as f64 * 1.3 + if dirty { period as f64 * 0.4 } else { 0.0 };
-                    let s: Vec<f64> = (0..150)
-                        .map(|k| (k as f64 * 0.11 + phase).sin() * 4.0 - 70.0)
-                        .collect();
-                    (id, s)
-                })
-                .collect()
-        };
-        let plain = MultiPeriodDetector::new(
-            VoiceprintDetector::new(ThresholdPolicy::paper_simulation()),
-            2,
-            3,
-        );
-        let cached = MultiPeriodDetector::new(
-            VoiceprintDetector::new(ThresholdPolicy::paper_simulation()).with_cache(256),
-            2,
-            3,
-        );
-        for period in 0..4u64 {
-            let mut i = input(0, 20.0 * (period + 1) as f64);
-            i.series = series_for(period);
-            let a = plain.detect(&i);
-            i.series = series_for(period);
-            let b = cached.detect(&i);
-            assert_eq!(a, b, "period {period}: cached votes diverged");
-        }
-        let stats = cached.inner().cache_stats().expect("cache enabled");
-        // 5 of 6 identities repeat each period: every clean-clean pair
-        // (at least C(5,2) = 10 per warm period, 3 warm periods) hits.
-        assert!(
-            stats.hits >= 30,
-            "expected >= 30 cache hits across warm periods, got {}",
-            stats.hits
-        );
-    }
 }

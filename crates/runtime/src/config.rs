@@ -32,6 +32,8 @@ pub struct DegradeConfig {
     /// Consecutive deadline misses required to step one level down.
     pub miss_threshold: u32,
     /// Deepest degradation level (band fraction scaled by `2^-level`).
+    /// A checkpoint restored under a shallower config resumes at this
+    /// level.
     pub max_level: u8,
 }
 

@@ -350,8 +350,10 @@ impl StreamingRuntime {
             return comparison;
         }
         if let DistanceMeasure::BandedDtw { band_fraction } = comparison.measure {
+            // `2^L` is exact for every `u8` level; a very deep level just
+            // reaches the comparator's minimum band width.
             comparison.measure = DistanceMeasure::BandedDtw {
-                band_fraction: band_fraction / f64::from(1u32 << self.degrade_level),
+                band_fraction: band_fraction / 2f64.powi(i32::from(self.degrade_level)),
             };
             if comparison.prune_threshold.is_none() {
                 // The prune bound must track the round's *effective*
@@ -565,7 +567,9 @@ impl StreamingRuntime {
 
         let next_detection_s = r.get_f64()?;
         let rounds_run = r.get_u64()?;
-        let degrade_level = r.get_u8()?;
+        // A runtime never stores a level above its own `max_level`, so
+        // the clamp only bites when the restoring config is shallower.
+        let degrade_level = r.get_u8()?.min(config.degrade.max_level);
         let consecutive_misses = r.get_u32()?;
         let consecutive_failures = r.get_u32()?;
         let backoff_rounds = r.get_u32()?;

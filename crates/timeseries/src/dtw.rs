@@ -1,4 +1,4 @@
-//! Exact Dynamic Time Warping (paper Eq. 3–6).
+//! Dynamic Time Warping (paper Eq. 3–6).
 //!
 //! The cost of aligning points `xᵢ` and `yⱼ` is the squared difference
 //! `c(i,j) = (xᵢ − yⱼ)²` (Eq. 3); the DTW distance is the minimum total
@@ -12,6 +12,13 @@
 //! with costs `1+1+1+0+1+1`), not the 9 quoted in the figure caption. The
 //! unit tests here pin the recursion's true value; the discrepancy is
 //! recorded in `EXPERIMENTS.md`.
+//!
+//! One rolling-row dynamic program computes every DTW distance in this
+//! crate: [`dtw`] runs it over the full matrix, [`dtw_banded`] over a
+//! Sakoe–Chiba band (optionally abandoning early against a threshold), and
+//! [`crate::fastdtw::fast_dtw`] over its projected full-resolution window.
+//! Only the path-returning forms — [`dtw_with_path`] and FastDTW's coarse
+//! levels — keep the whole table, because backtracking needs it.
 
 use crate::scratch::DtwScratch;
 use crate::window::{sakoe_chiba_range, SearchWindow};
@@ -24,8 +31,8 @@ pub fn point_cost(a: f64, b: f64) -> f64 {
 
 /// Exact DTW distance between two non-empty series (paper Eq. 6).
 ///
-/// Runs the full `O(N·M)` dynamic program with two rolling rows, so memory
-/// is `O(min(N, M))`-ish (`O(M)` as written).
+/// Runs the one rolling-row dynamic program over the full `N × M`
+/// matrix, with its two `O(M)` rows taken from `scratch`.
 ///
 /// # Panics
 ///
@@ -34,63 +41,68 @@ pub fn point_cost(a: f64, b: f64) -> f64 {
 /// # Example
 ///
 /// ```
-/// use vp_timeseries::dtw::dtw;
+/// use vp_timeseries::{dtw::dtw, DtwScratch};
 ///
 /// // Warping absorbs a temporal shift that Euclidean distance cannot.
 /// let a = [0.0, 0.0, 1.0, 2.0, 1.0, 0.0];
 /// let b = [0.0, 1.0, 2.0, 1.0, 0.0, 0.0];
-/// assert_eq!(dtw(&a, &b), 0.0);
+/// assert_eq!(dtw(&a, &b, &mut DtwScratch::new()), 0.0);
 /// ```
-pub fn dtw(x: &[f64], y: &[f64]) -> f64 {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "dtw requires non-empty series"
-    );
+pub fn dtw(x: &[f64], y: &[f64], scratch: &mut DtwScratch) -> f64 {
     let m = y.len();
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut curr = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-    for &xi in x {
-        curr[0] = f64::INFINITY;
-        for (j, &yj) in y.iter().enumerate() {
-            let c = point_cost(xi, yj);
-            let best = prev[j].min(prev[j + 1]).min(curr[j]);
-            curr[j + 1] = c + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
+    rolling_dp_x4::<false>(x, y, |_| (0, m - 1), f64::INFINITY, scratch).value()
 }
 
-/// DTW distance restricted to a Sakoe–Chiba band of half-width `radius`.
+/// DTW distance restricted to a Sakoe–Chiba band of half-width `radius`,
+/// optionally abandoned early against a threshold.
 ///
+/// Row `i` visits the columns [`sakoe_chiba_range`]`(N, M, radius, i)`.
 /// With a radius at least `max(N, M)` this equals [`dtw`]. Narrow bands
 /// are faster but may overestimate the distance when the optimal path
 /// strays from the diagonal.
 ///
+/// With `abandon_above = Some(t)` the DP checks each row's minimum
+/// accumulated cost. Every monotone warp path visits at least one in-band
+/// cell of every row, and point costs are non-negative, so the row
+/// minimum is a lower bound on the final distance; once it exceeds `t`
+/// (strictly) the evaluation stops and returns
+/// [`BoundedDistance::AboveThreshold`] carrying that bound. Otherwise the
+/// result is [`BoundedDistance::Exact`], the same bits as with `None`.
+///
 /// # Panics
 ///
 /// Panics if either series is empty.
-pub fn dtw_banded(x: &[f64], y: &[f64], radius: usize) -> f64 {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "dtw requires non-empty series"
-    );
-    let w = SearchWindow::sakoe_chiba(x.len(), y.len(), radius);
-    dtw_windowed(x, y, &w)
+pub fn dtw_banded(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+    abandon_above: Option<f64>,
+    scratch: &mut DtwScratch,
+) -> BoundedDistance {
+    let (n, m) = (x.len(), y.len());
+    let band = |i| sakoe_chiba_range(n, m, radius, i);
+    match abandon_above {
+        Some(t) => rolling_dp_x4::<true>(x, y, band, t, scratch),
+        None => rolling_dp_x4::<false>(x, y, band, f64::INFINITY, scratch),
+    }
 }
 
-/// DTW distance evaluated only on the cells of `window`.
-///
-/// This is the inner kernel of FastDTW. The window must have one row per
-/// element of `x` and `window.cols() == y.len()`.
+/// DTW distance evaluated only on the cells of `window`: FastDTW's
+/// full-resolution level. The window must have one row per element of
+/// `x` and `window.cols() == y.len()`.
 ///
 /// # Panics
 ///
 /// Panics if either series is empty or the window's shape does not match.
-pub fn dtw_windowed(x: &[f64], y: &[f64], window: &SearchWindow) -> f64 {
-    let (dist, _) = windowed_dp(x, y, window, false);
-    dist
+pub(crate) fn dtw_windowed(
+    x: &[f64],
+    y: &[f64],
+    window: &SearchWindow,
+    scratch: &mut DtwScratch,
+) -> f64 {
+    assert_eq!(window.rows(), x.len(), "window row count must match x");
+    assert_eq!(window.cols(), y.len(), "window column count must match y");
+    rolling_dp_x4::<false>(x, y, |i| window.range(i), f64::INFINITY, scratch).value()
 }
 
 /// Exact DTW distance plus one optimal warp path.
@@ -107,31 +119,18 @@ pub fn dtw_with_path(x: &[f64], y: &[f64]) -> (f64, Vec<(usize, usize)>) {
     dtw_windowed_with_path(x, y, &w)
 }
 
-/// Windowed DTW returning both distance and warp path (FastDTW's kernel).
+/// Windowed DTW returning both distance and warp path: the kernel of
+/// [`dtw_with_path`] and of FastDTW's coarse levels, whose paths the next
+/// level refines. It keeps the whole windowed table for backtracking.
 ///
 /// # Panics
 ///
 /// Panics if either series is empty or the window's shape does not match.
-pub fn dtw_windowed_with_path(
+pub(crate) fn dtw_windowed_with_path(
     x: &[f64],
     y: &[f64],
     window: &SearchWindow,
 ) -> (f64, Vec<(usize, usize)>) {
-    match windowed_dp(x, y, window, true) {
-        (dist, Some(path)) => (dist, path),
-        // vp-lint: allow(forbidden-panic) — loud invariant guard; want_path=true always yields a path
-        (_, None) => unreachable!("windowed_dp returns a path when want_path is set"),
-    }
-}
-
-/// Shared windowed dynamic program. When `want_path` is set, the full DP
-/// table (restricted to the window) is retained for backtracking.
-fn windowed_dp(
-    x: &[f64],
-    y: &[f64],
-    window: &SearchWindow,
-    want_path: bool,
-) -> (f64, Option<Vec<(usize, usize)>>) {
     assert!(
         !x.is_empty() && !y.is_empty(),
         "dtw requires non-empty series"
@@ -141,21 +140,22 @@ fn windowed_dp(
     let n = x.len();
 
     // Per-row storage holding only the windowed cells.
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(if want_path { n } else { 2 });
-    let mut prev_range = (0usize, 0usize);
-    let mut prev_row: Vec<f64> = Vec::new();
-
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
     for (i, &xi) in x.iter().enumerate() {
         let (lo, hi) = window.range(i);
+        let (prev_row, prev_range): (&[f64], _) = match i.checked_sub(1) {
+            Some(p) => (&rows[p], window.range(p)),
+            None => (&[], (0, 0)),
+        };
         let mut row = vec![f64::INFINITY; hi - lo + 1];
         for j in lo..=hi {
             let c = point_cost(xi, y[j]);
             let best = if i == 0 && j == 0 {
                 0.0
             } else {
-                let up = cell(&prev_row, prev_range, j, i > 0);
+                let up = cell(prev_row, prev_range, j, i > 0);
                 let diag = if j > 0 {
-                    cell(&prev_row, prev_range, j - 1, i > 0)
+                    cell(prev_row, prev_range, j - 1, i > 0)
                 } else {
                     f64::INFINITY
                 };
@@ -168,19 +168,11 @@ fn windowed_dp(
             };
             row[j - lo] = c + best;
         }
-        if want_path {
-            rows.push(row.clone());
-        }
-        prev_row = row;
-        prev_range = (lo, hi);
+        rows.push(row);
     }
 
     let (last_lo, _) = window.range(n - 1);
-    let dist = prev_row[y.len() - 1 - last_lo];
-
-    if !want_path {
-        return (dist, None);
-    }
+    let dist = rows[n - 1][y.len() - 1 - last_lo];
 
     // Backtrack from (n-1, m-1), preferring the diagonal predecessor.
     let mut path = Vec::new();
@@ -219,7 +211,7 @@ fn windowed_dp(
         path.push((i, j));
     }
     path.reverse();
-    (dist, Some(path))
+    (dist, path)
 }
 
 /// Reads DP cell `j` from a stored row covering `range`, returning infinity
@@ -262,244 +254,51 @@ impl BoundedDistance {
     }
 }
 
-/// Allocation-free form of [`dtw`]: identical result (bit-for-bit), with
-/// working memory taken from `scratch`.
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn dtw_with_scratch(x: &[f64], y: &[f64], scratch: &mut DtwScratch) -> f64 {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "dtw requires non-empty series"
-    );
-    let m = y.len();
-    let (prev, curr) = scratch.rows(m + 1);
-    // Same initial state as `dtw`: the previous row is all-infinite except
-    // the origin sentinel. `curr` needs no reset — every cell read is
-    // written first within the loop.
-    for p in prev[..=m].iter_mut() {
-        *p = f64::INFINITY;
-    }
-    prev[0] = 0.0;
-    for &xi in x {
-        curr[0] = f64::INFINITY;
-        for (j, &yj) in y.iter().enumerate() {
-            let c = point_cost(xi, yj);
-            let best = prev[j].min(prev[j + 1]).min(curr[j]);
-            curr[j + 1] = c + best;
-        }
-        std::mem::swap(prev, curr);
-    }
-    prev[m]
-}
-
-/// Allocation-free form of [`dtw_windowed`]: identical result
-/// (bit-for-bit), with working memory taken from `scratch`.
-///
-/// # Panics
-///
-/// Panics if either series is empty or the window's shape does not match.
-pub fn dtw_windowed_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    window: &SearchWindow,
-    scratch: &mut DtwScratch,
-) -> f64 {
-    assert_eq!(window.rows(), x.len(), "window row count must match x");
-    assert_eq!(window.cols(), y.len(), "window column count must match y");
-    match rolling_windowed_dp(x, y, |i| window.range(i), None, scratch) {
-        BoundedDistance::Exact(d) => d,
-        // vp-lint: allow(forbidden-panic) — loud invariant guard; threshold-free calls cannot abandon
-        BoundedDistance::AboveThreshold(_) => unreachable!("no threshold given"),
-    }
-}
-
-/// Allocation-free form of [`dtw_banded`]: identical result (bit-for-bit),
-/// with the band ranges computed on the fly instead of materialising a
-/// [`SearchWindow`].
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn dtw_banded_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    scratch: &mut DtwScratch,
-) -> f64 {
-    let (n, m) = (x.len(), y.len());
-    assert!(n > 0 && m > 0, "dtw requires non-empty series");
-    match rolling_windowed_dp(x, y, |i| sakoe_chiba_range(n, m, radius, i), None, scratch) {
-        BoundedDistance::Exact(d) => d,
-        // vp-lint: allow(forbidden-panic) — loud invariant guard; threshold-free calls cannot abandon
-        BoundedDistance::AboveThreshold(_) => unreachable!("no threshold given"),
-    }
-}
-
-/// Banded DTW with early abandoning against `threshold`.
-///
-/// Runs the same dynamic program as [`dtw_banded_with_scratch`], but after
-/// each row checks the row's minimum accumulated cost. Every monotone warp
-/// path visits at least one in-band cell of every row, and point costs are
-/// non-negative, so the row minimum is a lower bound on the final
-/// distance; once it exceeds `threshold` (strictly) the evaluation stops
-/// and returns [`BoundedDistance::AboveThreshold`] carrying that bound.
-///
-/// When the result is [`BoundedDistance::Exact`] it is bit-identical to
-/// [`dtw_banded`].
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn dtw_banded_prunable_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    threshold: f64,
-    scratch: &mut DtwScratch,
-) -> BoundedDistance {
-    let (n, m) = (x.len(), y.len());
-    assert!(n > 0 && m > 0, "dtw requires non-empty series");
-    rolling_windowed_dp(
-        x,
-        y,
-        |i| sakoe_chiba_range(n, m, radius, i),
-        Some(threshold),
-        scratch,
-    )
-}
-
-/// Rolling-row windowed dynamic program shared by the scratch kernels.
+/// The one rolling-row DTW dynamic program: [`dtw`] runs it over the full
+/// matrix, [`dtw_banded`] over the Sakoe–Chiba band and FastDTW's top
+/// level over its projected window.
 ///
 /// `range_at(i)` yields row `i`'s inclusive column range; ranges must obey
 /// the [`SearchWindow`] invariants. Rows are stored at absolute column
 /// indices in the scratch buffers; cells outside the previous row's range
 /// are treated as infinite via range checks, so stale buffer contents are
-/// never observed. The per-cell arithmetic — `up.min(diag).min(left)`,
-/// then one addition — mirrors `windowed_dp` exactly, which is what makes
-/// the scratch kernels bit-identical to their allocating counterparts.
-fn rolling_windowed_dp(
-    x: &[f64],
-    y: &[f64],
-    range_at: impl Fn(usize) -> (usize, usize),
-    abandon_above: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> BoundedDistance {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "dtw requires non-empty series"
-    );
-    let m = y.len();
-    let (prev, curr) = scratch.rows(m);
-    let mut prev_range = (0usize, 0usize);
-    for (i, &xi) in x.iter().enumerate() {
-        let (lo, hi) = range_at(i);
-        let mut row_min = f64::INFINITY;
-        for j in lo..=hi {
-            let c = point_cost(xi, y[j]);
-            let best = if i == 0 && j == 0 {
-                0.0
-            } else {
-                let up = if i > 0 && j >= prev_range.0 && j <= prev_range.1 {
-                    prev[j]
-                } else {
-                    f64::INFINITY
-                };
-                let diag = if i > 0 && j > prev_range.0 && j - 1 <= prev_range.1 {
-                    prev[j - 1]
-                } else {
-                    f64::INFINITY
-                };
-                let left = if j > lo { curr[j - 1] } else { f64::INFINITY };
-                up.min(diag).min(left)
-            };
-            let cell = c + best;
-            curr[j] = cell;
-            row_min = row_min.min(cell);
-        }
-        if let Some(t) = abandon_above {
-            if row_min > t {
-                return BoundedDistance::AboveThreshold(row_min);
-            }
-        }
-        std::mem::swap(prev, curr);
-        prev_range = (lo, hi);
-    }
-    BoundedDistance::Exact(prev[m - 1])
-}
-
-/// 4-lane unrolled form of [`dtw_banded_with_scratch`]; the result is
-/// bit-identical (see [`rolling_banded_dp_x4`] for why).
+/// never observed.
 ///
-/// # Panics
+/// With `ABANDON`, each row's minimum is checked against `abandon_above`,
+/// as [`dtw_banded`] documents; the result is then [`BoundedDistance::Exact`]
+/// or [`BoundedDistance::AboveThreshold`]. Without it, `abandon_above` is
+/// ignored, the result is always exact, and the row minima are dead code
+/// the compiler removes. That is why the switch is a const parameter and
+/// not a run-time `Option`: folding the minima slows the no-threshold
+/// banded kernel by about a quarter on 200-sample series.
 ///
-/// Panics if either series is empty.
-pub fn dtw_banded_x4_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    scratch: &mut DtwScratch,
-) -> f64 {
-    let (n, m) = (x.len(), y.len());
-    assert!(n > 0 && m > 0, "dtw requires non-empty series");
-    match rolling_banded_dp_x4(x, y, |i| sakoe_chiba_range(n, m, radius, i), None, scratch) {
-        BoundedDistance::Exact(d) => d,
-        // vp-lint: allow(forbidden-panic) — loud invariant guard; threshold-free calls cannot abandon
-        BoundedDistance::AboveThreshold(_) => unreachable!("no threshold given"),
-    }
-}
-
-/// 4-lane unrolled form of [`dtw_banded_prunable_with_scratch`]; the
-/// result — exact value, abandonment decision, and carried bound — is
-/// bit-identical (see [`rolling_banded_dp_x4`] for why).
+/// The row recurrence is unrolled four cells wide, so the cost lookups
+/// and the `up.min(diag)` half of the recurrence vectorise; only the short
+/// `left`-chain stays sequential.
 ///
-/// # Panics
+/// # Agreement with the scalar recurrence
 ///
-/// Panics if either series is empty.
-pub fn dtw_banded_prunable_x4_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    threshold: f64,
-    scratch: &mut DtwScratch,
-) -> BoundedDistance {
-    let (n, m) = (x.len(), y.len());
-    assert!(n > 0 && m > 0, "dtw requires non-empty series");
-    rolling_banded_dp_x4(
-        x,
-        y,
-        |i| sakoe_chiba_range(n, m, radius, i),
-        Some(threshold),
-        scratch,
-    )
-}
-
-/// [`rolling_windowed_dp`] with the row recurrence unrolled four cells
-/// wide, so the cost lookups and the `up.min(diag)` half of the
-/// recurrence vectorise; only the short `left`-chain stays sequential.
-///
-/// # Bit-identity to the scalar kernel
-///
-/// The scalar per-cell value is `fl(c + min(up, diag, left))`; here the
+/// The textbook per-cell value is `fl(c + min(up, diag, left))`; here the
 /// independent half is hoisted as `t = fl(c + min(up, diag))` and the
-/// cell becomes `min(t, fl(c + left))`. These are bit-equal for every
-/// input the DP can produce: rounded addition of a constant is monotone,
-/// so it commutes with `min`; `f64::min` ignores `NaN` identically on
-/// both shapes; and the `+∞ + −∞` case that could break the exchange
-/// cannot occur because squared point costs and their running sums are
-/// never negative (so `−∞` never enters the table). Row minima are
-/// folded in the same left-to-right order as the scalar loop, making
-/// the early-abandon decision identical too.
+/// cell becomes `min(t, fl(c + left))`. Rounded addition of a constant is
+/// monotone, so it commutes with `min`; `f64::min` ignores a `NaN`
+/// operand on both shapes; and the `+∞ + −∞` case that could break the
+/// exchange cannot occur because squared point costs and their running
+/// sums are never negative (so `−∞` never enters the table). Row minima
+/// are folded in the same left-to-right order as the scalar loop, making
+/// the early-abandon decision identical too. The two shapes therefore
+/// agree on every non-NaN result bit and on which results are NaN; when
+/// both are NaN, the NaN's sign bit may differ (an `∞ − ∞` NaN reaching
+/// the two `min` trees in a different order). `tests/kernel_oracle.rs`
+/// checks exactly this against the scalar DP.
 ///
-/// `range_at(i)` must obey the [`SearchWindow`] invariants, as in
-/// [`rolling_windowed_dp`]; rows that violate the band-monotonicity
-/// fast path fall back to the fully guarded scalar cell.
-fn rolling_banded_dp_x4(
+/// Rows that violate the band-monotonicity fast path fall back to fully
+/// guarded cells.
+fn rolling_dp_x4<const ABANDON: bool>(
     x: &[f64],
     y: &[f64],
     range_at: impl Fn(usize) -> (usize, usize),
-    abandon_above: Option<f64>,
+    abandon_above: f64,
     scratch: &mut DtwScratch,
 ) -> BoundedDistance {
     assert!(
@@ -622,10 +421,8 @@ fn rolling_banded_dp_x4(
                 j += 1;
             }
         }
-        if let Some(t) = abandon_above {
-            if row_min > t {
-                return BoundedDistance::AboveThreshold(row_min);
-            }
+        if ABANDON && row_min > abandon_above {
+            return BoundedDistance::AboveThreshold(row_min);
         }
         std::mem::swap(prev, curr);
         prev_range = (lo, hi);
@@ -662,11 +459,19 @@ mod tests {
     const FIG9_X: [f64; 5] = [1.0, 1.0, 4.0, 1.0, 1.0];
     const FIG9_Y: [f64; 6] = [2.0, 2.0, 2.0, 4.0, 2.0, 2.0];
 
+    fn exact_of(x: &[f64], y: &[f64]) -> f64 {
+        dtw(x, y, &mut DtwScratch::new())
+    }
+
+    fn banded_of(x: &[f64], y: &[f64], radius: usize) -> f64 {
+        dtw_banded(x, y, radius, None, &mut DtwScratch::new()).value()
+    }
+
     #[test]
     fn fig9_example_value() {
         // Recursion (4) applied by hand yields 5 (see module docs); the
         // figure's caption states 9 — we pin the recursion's true value.
-        assert_eq!(dtw(&FIG9_X, &FIG9_Y), 5.0);
+        assert_eq!(exact_of(&FIG9_X, &FIG9_Y), 5.0);
     }
 
     #[test]
@@ -684,28 +489,28 @@ mod tests {
     #[test]
     fn identity_distance_is_zero() {
         let x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
-        assert_eq!(dtw(&x, &x), 0.0);
+        assert_eq!(exact_of(&x, &x), 0.0);
     }
 
     #[test]
     fn symmetry() {
         let x = [0.0, 2.0, 5.0, 1.0];
         let y = [1.0, 1.0, 6.0];
-        assert_eq!(dtw(&x, &y), dtw(&y, &x));
+        assert_eq!(exact_of(&x, &y), exact_of(&y, &x));
     }
 
     #[test]
     fn single_element_series() {
-        assert_eq!(dtw(&[2.0], &[5.0]), 9.0);
-        assert_eq!(dtw(&[2.0], &[2.0, 2.0, 2.0]), 0.0);
-        assert_eq!(dtw(&[2.0], &[2.0, 3.0]), 1.0);
+        assert_eq!(exact_of(&[2.0], &[5.0]), 9.0);
+        assert_eq!(exact_of(&[2.0], &[2.0, 2.0, 2.0]), 0.0);
+        assert_eq!(exact_of(&[2.0], &[2.0, 3.0]), 1.0);
     }
 
     #[test]
     fn warping_absorbs_time_shift() {
         let a = [0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0];
         let b = [0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0];
-        assert_eq!(dtw(&a, &b), 0.0);
+        assert_eq!(exact_of(&a, &b), 0.0);
         // Lock-step distance sees a large gap.
         assert!(crate::distance::squared_euclidean(&a, &b) > 0.0);
     }
@@ -714,15 +519,15 @@ mod tests {
     fn dtw_bounded_by_squared_euclidean() {
         let a = [1.0, 5.0, -2.0, 0.5, 3.0];
         let b = [0.0, 4.0, -1.0, 2.5, 2.0];
-        assert!(dtw(&a, &b) <= crate::distance::squared_euclidean(&a, &b) + 1e-12);
+        assert!(exact_of(&a, &b) <= crate::distance::squared_euclidean(&a, &b) + 1e-12);
     }
 
     #[test]
     fn wide_band_equals_full_dtw() {
         let a = [1.0, 3.0, 2.0, 8.0, 4.0, 4.5, 1.0];
         let b = [1.5, 2.5, 9.0, 3.0, 4.0, 2.0];
-        let full = dtw(&a, &b);
-        assert_eq!(dtw_banded(&a, &b, 10), full);
+        let full = exact_of(&a, &b);
+        assert_eq!(banded_of(&a, &b, 10), full);
     }
 
     #[test]
@@ -730,9 +535,7 @@ mod tests {
         // Optimal path strays from the diagonal: banded must be >= exact.
         let a = [0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 0.0, 0.0];
         let b = [5.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        let exact = dtw(&a, &b);
-        let banded = dtw_banded(&a, &b, 1);
-        assert!(banded >= exact);
+        assert!(banded_of(&a, &b, 1) >= exact_of(&a, &b));
     }
 
     #[test]
@@ -740,7 +543,9 @@ mod tests {
         let a = [1.0, 2.0, 0.0, 4.0];
         let b = [0.0, 2.0, 2.0, 3.0, 4.0];
         let w = SearchWindow::full(a.len(), b.len());
-        assert_eq!(dtw_windowed(&a, &b, &w), dtw(&a, &b));
+        let d = dtw_windowed(&a, &b, &w, &mut DtwScratch::new());
+        assert_eq!(d, exact_of(&a, &b));
+        assert_eq!(d, dtw_windowed_with_path(&a, &b, &w).0);
     }
 
     #[test]
@@ -760,73 +565,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_series_panics() {
-        dtw(&[], &[1.0]);
+        exact_of(&[], &[1.0]);
     }
 
     #[test]
-    fn scratch_kernels_bit_identical_to_allocating_kernels() {
-        let mut rng = SplitMix64::seed_from_u64(7);
-        let mut next = move || rng.range_f64(-5.0..5.0);
-        let mut scratch = DtwScratch::new();
-        for (n, m) in [
-            (1, 1),
-            (1, 9),
-            (9, 1),
-            (12, 12),
-            (40, 31),
-            (31, 40),
-            (80, 77),
-        ] {
-            let x: Vec<f64> = (0..n).map(|_| next()).collect();
-            let y: Vec<f64> = (0..m).map(|_| next()).collect();
-            assert_eq!(
-                dtw_with_scratch(&x, &y, &mut scratch).to_bits(),
-                dtw(&x, &y).to_bits(),
-                "dtw mismatch at {n}x{m}"
-            );
-            for radius in [0usize, 1, 3, 10] {
-                assert_eq!(
-                    dtw_banded_with_scratch(&x, &y, radius, &mut scratch).to_bits(),
-                    dtw_banded(&x, &y, radius).to_bits(),
-                    "banded mismatch at {n}x{m} r={radius}"
-                );
-            }
-            let w = SearchWindow::sakoe_chiba(n, m, 2);
-            assert_eq!(
-                dtw_windowed_with_scratch(&x, &y, &w, &mut scratch).to_bits(),
-                dtw_windowed(&x, &y, &w).to_bits(),
-                "windowed mismatch at {n}x{m}"
-            );
-        }
-    }
-
-    #[test]
-    fn prunable_exact_below_threshold() {
+    fn abandoning_returns_exact_at_or_below_threshold() {
         let mut scratch = DtwScratch::new();
         let a = [1.0, 3.0, 2.0, 8.0, 4.0, 4.5, 1.0];
         let b = [1.5, 2.5, 9.0, 3.0, 4.0, 2.0];
-        let exact = dtw_banded(&a, &b, 3);
+        let exact = banded_of(&a, &b, 3);
         // Threshold above the distance: no pruning, bit-identical value.
-        match dtw_banded_prunable_with_scratch(&a, &b, 3, exact + 1.0, &mut scratch) {
+        match dtw_banded(&a, &b, 3, Some(exact + 1.0), &mut scratch) {
             BoundedDistance::Exact(d) => assert_eq!(d.to_bits(), exact.to_bits()),
             other => panic!("unexpected pruning: {other:?}"),
         }
         // Threshold exactly at the distance: row minima never *exceed* it,
         // so the exact value must still come back (strict inequality).
-        match dtw_banded_prunable_with_scratch(&a, &b, 3, exact, &mut scratch) {
+        match dtw_banded(&a, &b, 3, Some(exact), &mut scratch) {
             BoundedDistance::Exact(d) => assert_eq!(d.to_bits(), exact.to_bits()),
             other => panic!("unexpected pruning at equality: {other:?}"),
         }
     }
 
     #[test]
-    fn prunable_abandons_with_sound_lower_bound() {
+    fn abandoning_carries_a_sound_lower_bound() {
         let mut scratch = DtwScratch::new();
         let a: Vec<f64> = (0..50).map(|i| i as f64 * 0.1).collect();
         let b: Vec<f64> = (0..50).map(|i| 50.0 + i as f64 * 0.1).collect();
-        let exact = dtw_banded(&a, &b, 3);
+        let exact = banded_of(&a, &b, 3);
         let threshold = exact / 10.0;
-        match dtw_banded_prunable_with_scratch(&a, &b, 3, threshold, &mut scratch) {
+        match dtw_banded(&a, &b, 3, Some(threshold), &mut scratch) {
             BoundedDistance::AboveThreshold(lb) => {
                 assert!(lb > threshold, "bound {lb} not above threshold {threshold}");
                 assert!(lb <= exact, "bound {lb} exceeds true distance {exact}");
@@ -860,18 +628,18 @@ mod tests {
         // should prevent such input, but the kernels must not be the
         // layer that dies if it slips through.)
         let clean: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut scratch = DtwScratch::new();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut dirty = clean.clone();
             dirty[7] = bad;
-            assert!(!dtw(&clean, &dirty).is_finite(), "bad={bad}");
-            assert!(!dtw_banded(&clean, &dirty, 3).is_finite(), "bad={bad}");
+            assert!(!exact_of(&clean, &dirty).is_finite(), "bad={bad}");
+            assert!(!banded_of(&clean, &dirty, 3).is_finite(), "bad={bad}");
             let (d, path) = dtw_with_path(&clean, &dirty);
             assert!(!d.is_finite());
             assert!(is_valid_warp_path(&path, clean.len(), dirty.len()));
-            // Prunable variant must terminate and stay sound: either the
-            // exact (non-finite) distance or an abandonment.
-            let mut scratch = DtwScratch::new();
-            let _ = dtw_banded_prunable_with_scratch(&clean, &dirty, 3, 1.0, &mut scratch);
+            // The abandoning form must terminate and stay sound: either
+            // the exact (non-finite) distance or an abandonment.
+            let _ = dtw_banded(&clean, &dirty, 3, Some(1.0), &mut scratch);
         }
         // Worst case: every DP cell is NaN, so every backtracking
         // comparison is false. Regression for a subtraction underflow in
@@ -889,105 +657,7 @@ mod tests {
     fn finite_distance_for_clean_series_is_unaffected_by_hardening() {
         let a: Vec<f64> = (0..40).map(|i| (i as f64 * 0.2).cos()).collect();
         let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.2 + 0.4).cos()).collect();
-        assert!(dtw(&a, &b).is_finite());
-        assert!(dtw_banded(&a, &b, 2).is_finite());
-    }
-
-    #[test]
-    fn x4_kernel_bit_identical_to_scalar() {
-        let mut rng = SplitMix64::seed_from_u64(13);
-        let mut next = move || rng.range_f64(-5.0..5.0);
-        let mut scratch = DtwScratch::new();
-        for (n, m) in [
-            (1, 1),
-            (1, 9),
-            (9, 1),
-            (2, 2),
-            (5, 160),
-            (160, 5),
-            (12, 12),
-            (40, 31),
-            (31, 40),
-            (97, 101),
-            (128, 128),
-        ] {
-            let x: Vec<f64> = (0..n).map(|_| next()).collect();
-            let y: Vec<f64> = (0..m).map(|_| next()).collect();
-            for radius in [0usize, 1, 2, 3, 7, 10, 64, 500] {
-                assert_eq!(
-                    dtw_banded_x4_with_scratch(&x, &y, radius, &mut scratch).to_bits(),
-                    dtw_banded_with_scratch(&x, &y, radius, &mut scratch).to_bits(),
-                    "x4 banded mismatch at {n}x{m} r={radius}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn x4_prunable_matches_scalar_decision_and_bits() {
-        let mut rng = SplitMix64::seed_from_u64(99);
-        let mut next = move || rng.range_f64(-5.0..5.0);
-        let mut scratch = DtwScratch::new();
-        for (n, m) in [(3, 3), (20, 26), (26, 20), (75, 75), (120, 111)] {
-            let x: Vec<f64> = (0..n).map(|_| next()).collect();
-            let y: Vec<f64> = (0..m).map(|_| next() + 6.0).collect();
-            let exact = dtw_banded(&x, &y, 4);
-            // Thresholds straddling the distance exercise both the exact
-            // and the abandoning path, plus the equality edge.
-            for threshold in [exact / 16.0, exact / 2.0, exact, exact * 2.0] {
-                let scalar = dtw_banded_prunable_with_scratch(&x, &y, 4, threshold, &mut scratch);
-                let x4 = dtw_banded_prunable_x4_with_scratch(&x, &y, 4, threshold, &mut scratch);
-                assert_eq!(
-                    scalar.is_pruned(),
-                    x4.is_pruned(),
-                    "pruning decision diverged at {n}x{m} t={threshold}"
-                );
-                assert_eq!(
-                    scalar.value().to_bits(),
-                    x4.value().to_bits(),
-                    "pruned value diverged at {n}x{m} t={threshold}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn x4_kernel_matches_scalar_on_non_finite_input() {
-        let clean: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut scratch = DtwScratch::new();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for at in [0usize, 7, 31, 63] {
-                let mut dirty = clean.clone();
-                dirty[at] = bad;
-                for radius in [1usize, 5, 100] {
-                    assert_eq!(
-                        dtw_banded_x4_with_scratch(&clean, &dirty, radius, &mut scratch).to_bits(),
-                        dtw_banded_with_scratch(&clean, &dirty, radius, &mut scratch).to_bits(),
-                        "x4 non-finite mismatch bad={bad} at={at} r={radius}"
-                    );
-                    let scalar =
-                        dtw_banded_prunable_with_scratch(&dirty, &clean, radius, 1.0, &mut scratch);
-                    let x4 = dtw_banded_prunable_x4_with_scratch(
-                        &dirty,
-                        &clean,
-                        radius,
-                        1.0,
-                        &mut scratch,
-                    );
-                    assert_eq!(scalar.is_pruned(), x4.is_pruned(), "bad={bad} at={at}");
-                    assert_eq!(
-                        scalar.value().to_bits(),
-                        x4.value().to_bits(),
-                        "bad={bad} at={at} r={radius}"
-                    );
-                }
-            }
-        }
-        // All-NaN worst case.
-        let all_nan = vec![f64::NAN; 48];
-        assert_eq!(
-            dtw_banded_x4_with_scratch(&clean, &all_nan, 3, &mut scratch).to_bits(),
-            dtw_banded_with_scratch(&clean, &all_nan, 3, &mut scratch).to_bits(),
-        );
+        assert!(exact_of(&a, &b).is_finite());
+        assert!(banded_of(&a, &b, 2).is_finite());
     }
 }

@@ -7,16 +7,14 @@
 //! 2. **Recurse** on the coarse series to find a warp path.
 //! 3. **Project** the coarse path to full resolution and **expand** it by
 //!    `radius` cells in every direction.
-//! 4. Run the windowed dynamic program of [`crate::dtw`] inside the
+//! 4. Run the rolling-row dynamic program of [`crate::dtw`] inside the
 //!    expanded window.
 //!
 //! With radius 1 the approximation error is typically below 1% — the
 //! figure the paper quotes when arguing FastDTW is accurate enough for
 //! Sybil detection.
 
-use crate::dtw::{
-    dtw_windowed_with_path, dtw_windowed_with_scratch, dtw_with_path, dtw_with_scratch,
-};
+use crate::dtw::{dtw, dtw_windowed, dtw_windowed_with_path, dtw_with_path};
 use crate::scratch::DtwScratch;
 use crate::series::{coarsen, coarsen_into};
 use crate::window::SearchWindow;
@@ -35,6 +33,14 @@ fn min_ts_size(radius: usize) -> usize {
 /// to exact DTW. The distance uses the same squared-cost convention as
 /// [`crate::dtw::dtw`], so values are directly comparable.
 ///
+/// The full-resolution level — which dominates both time and memory —
+/// runs the crate's one rolling-row DP inside the projected window, out of
+/// `scratch`, and the top-level coarsened copies of both series live in
+/// pooled scratch buffers. The coarser levels find their warp paths with
+/// [`fast_dtw_with_path`] (they must keep DP tables to backtrack), so the
+/// distance equals `fast_dtw_with_path(x, y, radius).0`. Short series fall
+/// back to [`crate::dtw::dtw`] on the same scratch.
+///
 /// # Panics
 ///
 /// Panics if either series is empty.
@@ -42,17 +48,35 @@ fn min_ts_size(radius: usize) -> usize {
 /// # Example
 ///
 /// ```
-/// use vp_timeseries::{dtw::dtw, fastdtw::fast_dtw};
+/// use vp_timeseries::{dtw::dtw, fastdtw::fast_dtw, DtwScratch};
 ///
+/// let mut scratch = DtwScratch::new();
 /// let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.1).sin()).collect();
 /// let y: Vec<f64> = (0..190).map(|i| (i as f64 * 0.1 + 0.2).sin()).collect();
-/// let exact = dtw(&x, &y);
-/// let fast = fast_dtw(&x, &y, 1);
+/// let exact = dtw(&x, &y, &mut scratch);
+/// let fast = fast_dtw(&x, &y, 1, &mut scratch);
 /// assert!(fast >= exact); // windowed search can only overestimate
 /// assert!(fast <= exact.max(1e-9) * 1.25 + 1e-9);
 /// ```
-pub fn fast_dtw(x: &[f64], y: &[f64], radius: usize) -> f64 {
-    fast_dtw_with_path(x, y, radius).0
+pub fn fast_dtw(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch) -> f64 {
+    assert!(
+        !x.is_empty() && !y.is_empty(),
+        "fast_dtw requires non-empty series"
+    );
+    let min_size = min_ts_size(radius);
+    if x.len() <= min_size || y.len() <= min_size {
+        return dtw(x, y, scratch);
+    }
+    let mut coarse_x = std::mem::take(&mut scratch.coarse_x);
+    let mut coarse_y = std::mem::take(&mut scratch.coarse_y);
+    coarsen_into(x, &mut coarse_x);
+    coarsen_into(y, &mut coarse_y);
+    let (_, coarse_path) = fast_dtw_with_path(&coarse_x, &coarse_y, radius);
+    let coarse_window = window_from_path(&coarse_path, coarse_y.len());
+    scratch.coarse_x = coarse_x;
+    scratch.coarse_y = coarse_y;
+    let window = coarse_window.expand_from_half_resolution(x.len(), y.len(), radius);
+    dtw_windowed(x, y, &window, scratch)
 }
 
 /// FastDTW distance together with the warp path it found.
@@ -81,44 +105,6 @@ pub fn fast_dtw_with_path(x: &[f64], y: &[f64], radius: usize) -> (f64, Vec<(usi
     dtw_windowed_with_path(x, y, &window)
 }
 
-/// Reduced-allocation form of [`fast_dtw`]: identical result
-/// (bit-for-bit), with the final (largest) resolution level running the
-/// rolling-row windowed DP out of `scratch` instead of retaining the full
-/// windowed table, and the top-level coarsened copies of both series
-/// living in pooled scratch buffers.
-///
-/// The recursion below the top level still allocates (it must retain DP
-/// tables to backtrack warp paths), but those levels are geometrically
-/// smaller — the top level dominates both time and memory, and it is the
-/// level this variant makes allocation-free.
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn fast_dtw_with_scratch(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch) -> f64 {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "fast_dtw requires non-empty series"
-    );
-    let min_size = min_ts_size(radius);
-    if x.len() <= min_size || y.len() <= min_size {
-        // `fast_dtw` falls back to `dtw_with_path`; its distance equals the
-        // rolling-row `dtw` bit-for-bit (the DP visits the same cells with
-        // the same per-cell arithmetic), so the scratch kernel can stand in.
-        return dtw_with_scratch(x, y, scratch);
-    }
-    let mut coarse_x = std::mem::take(&mut scratch.coarse_x);
-    let mut coarse_y = std::mem::take(&mut scratch.coarse_y);
-    coarsen_into(x, &mut coarse_x);
-    coarsen_into(y, &mut coarse_y);
-    let (_, coarse_path) = fast_dtw_with_path(&coarse_x, &coarse_y, radius);
-    let coarse_window = window_from_path(&coarse_path, coarse_y.len());
-    scratch.coarse_x = coarse_x;
-    scratch.coarse_y = coarse_y;
-    let window = coarse_window.expand_from_half_resolution(x.len(), y.len(), radius);
-    dtw_windowed_with_scratch(x, y, &window, scratch)
-}
-
 /// Converts a coarse warp path into a per-row search window covering
 /// exactly the path's cells.
 // vp-lint: allow(panic-reachability) — warp-path row indices are <= the last row index that sized `ranges`
@@ -142,7 +128,15 @@ fn window_from_path(path: &[(usize, usize)], cols: usize) -> SearchWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtw::{dtw, is_valid_warp_path};
+    use crate::dtw::is_valid_warp_path;
+
+    fn exact_of(x: &[f64], y: &[f64]) -> f64 {
+        dtw(x, y, &mut DtwScratch::new())
+    }
+
+    fn fast_of(x: &[f64], y: &[f64], radius: usize) -> f64 {
+        fast_dtw(x, y, radius, &mut DtwScratch::new())
+    }
 
     fn wave(n: usize, phase: f64) -> Vec<f64> {
         (0..n)
@@ -153,14 +147,14 @@ mod tests {
     #[test]
     fn identical_series_zero_distance() {
         let x = wave(128, 0.0);
-        assert_eq!(fast_dtw(&x, &x, 1), 0.0);
+        assert_eq!(fast_of(&x, &x, 1), 0.0);
     }
 
     #[test]
     fn short_series_fall_back_to_exact() {
         let x = [1.0, 1.0, 4.0];
         let y = [2.0, 4.0, 2.0];
-        assert_eq!(fast_dtw(&x, &y, 1), dtw(&x, &y));
+        assert_eq!(fast_of(&x, &y, 1), exact_of(&x, &y));
     }
 
     #[test]
@@ -173,8 +167,8 @@ mod tests {
         ] {
             let x = wave(n, 0.0);
             let y = wave(m, p);
-            let exact = dtw(&x, &y);
-            let fast = fast_dtw(&x, &y, 1);
+            let exact = exact_of(&x, &y);
+            let fast = fast_of(&x, &y, 1);
             assert!(
                 fast >= exact - 1e-9,
                 "fast {fast} < exact {exact} for ({n},{m},{p})"
@@ -188,8 +182,8 @@ mod tests {
         // single instances can deviate more than the average.
         let x = wave(256, 0.0);
         let y = wave(256, 0.8);
-        let exact = dtw(&x, &y);
-        let fast = fast_dtw(&x, &y, 1);
+        let exact = exact_of(&x, &y);
+        let fast = fast_of(&x, &y, 1);
         assert!(fast <= exact * 1.10 + 1e-9, "fast {fast} vs exact {exact}");
     }
 
@@ -197,10 +191,10 @@ mod tests {
     fn larger_radius_improves_accuracy() {
         let x = wave(200, 0.0);
         let y = wave(180, 1.3);
-        let exact = dtw(&x, &y);
+        let exact = exact_of(&x, &y);
         let mut prev = f64::INFINITY;
         for radius in [0usize, 1, 2, 4, 8] {
-            let fast = fast_dtw(&x, &y, radius);
+            let fast = fast_of(&x, &y, radius);
             assert!(
                 fast <= prev + 1e-9,
                 "radius {radius} got worse: {fast} > {prev}"
@@ -209,7 +203,7 @@ mod tests {
             prev = fast;
         }
         // Huge radius = exact.
-        assert!((fast_dtw(&x, &y, 256) - exact).abs() < 1e-9);
+        assert!((fast_of(&x, &y, 256) - exact).abs() < 1e-9);
     }
 
     #[test]
@@ -236,16 +230,16 @@ mod tests {
             k += 1;
             k % 13 != 0
         });
-        let d = fast_dtw(&x, &y, 1);
+        let d = fast_of(&x, &y, 1);
         // The gap from a few dropped samples should stay small relative to
         // an unrelated series.
         let unrelated = wave(185, 2.0);
-        assert!(d < fast_dtw(&x, &unrelated, 1) / 4.0);
+        assert!(d < fast_of(&x, &unrelated, 1) / 4.0);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_input_panics() {
-        fast_dtw(&[], &[1.0], 1);
+        fast_of(&[], &[1.0], 1);
     }
 }

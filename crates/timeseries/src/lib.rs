@@ -8,13 +8,14 @@
 //! * [`normalize`] — the paper's *enhanced Z-score* (`(x − μ) / 3σ`,
 //!   Eq. 7) and the min–max normalisation of pairwise distances (Eq. 8).
 //! * [`distance`] — Lp norms (Eq. 2), Euclidean, Manhattan, Chebyshev.
-//! * [`dtw`] — exact Dynamic Time Warping with squared point costs
-//!   (Eq. 3–6), optional Sakoe–Chiba band, and warp-path extraction.
+//! * [`dtw`] — Dynamic Time Warping with squared point costs (Eq. 3–6):
+//!   one rolling-row dynamic program serves the exact, Sakoe–Chiba banded
+//!   and FastDTW distances; warp-path extraction keeps its own table.
 //! * [`window`] — sparse search windows for constrained DTW.
 //! * [`fastdtw`] — the linear-time FastDTW approximation
 //!   (Salvador & Chan, reference [24] of the paper) used by the detector.
-//! * [`scratch`] — reusable working memory ([`DtwScratch`]) backing the
-//!   allocation-free `*_with_scratch` kernel variants.
+//! * [`scratch`] — reusable working memory ([`DtwScratch`]) that every
+//!   distance kernel takes, so a sweep allocates once per worker thread.
 //! * [`lowerbound`] — LB_Keogh-style lower bounds that let a comparison
 //!   engine skip or abandon provably above-threshold DTW evaluations.
 //! * [`sketch`] — constant-cost piecewise envelope sketches whose
@@ -23,13 +24,14 @@
 //! # Example
 //!
 //! ```
-//! use vp_timeseries::{dtw::dtw, fastdtw::fast_dtw, normalize::z_score_enhanced};
+//! use vp_timeseries::{dtw::dtw, fastdtw::fast_dtw, normalize::z_score_enhanced, DtwScratch};
 //!
 //! let a = [-70.0, -71.0, -69.5, -75.0, -74.0];
 //! let b = [-67.0, -68.0, -66.5, -72.0, -71.0]; // same shape, +3 dB offset
 //! let (na, nb) = (z_score_enhanced(&a), z_score_enhanced(&b));
-//! assert!(dtw(&na, &nb) < 1e-9); // offset removed, identical voiceprints
-//! assert!(fast_dtw(&na, &nb, 1) < 1e-9);
+//! let mut scratch = DtwScratch::new();
+//! assert!(dtw(&na, &nb, &mut scratch) < 1e-9); // offset removed, identical voiceprints
+//! assert!(fast_dtw(&na, &nb, 1, &mut scratch) < 1e-9);
 //! ```
 
 #![deny(missing_docs)]
@@ -46,8 +48,8 @@ pub mod series;
 pub mod sketch;
 pub mod window;
 
-pub use dtw::{dtw, dtw_with_path, dtw_with_scratch, BoundedDistance};
-pub use fastdtw::{fast_dtw, fast_dtw_with_path, fast_dtw_with_scratch};
+pub use dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
+pub use fastdtw::{fast_dtw, fast_dtw_with_path};
 pub use lowerbound::lb_keogh_banded;
 pub use normalize::{min_max_normalize, z_score_enhanced};
 pub use scratch::DtwScratch;

@@ -21,111 +21,38 @@
 //! band endpoints are non-decreasing in the row index, so each column
 //! enters and leaves each deque at most once.
 
-use crate::dtw::point_cost;
 use crate::scratch::DtwScratch;
 use crate::window::sakoe_chiba_range;
 
-/// LB_Keogh lower bound on [`crate::dtw::dtw_banded`]`(x, y, radius)`.
+/// LB_Keogh lower bound on [`crate::dtw::dtw_banded`]`(x, y, radius, …)`,
+/// with the envelope deques and buffers taken from `scratch`.
 ///
-/// Guarantees `lb_keogh_banded(x, y, radius) <= dtw_banded(x, y, radius)`;
+/// Guarantees that the bound never exceeds the exact banded DTW distance;
 /// the bound is cheap (`O(N + M)`) and is used to skip the quadratic
 /// dynamic program entirely when the bound already exceeds a pruning
 /// threshold.
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn lb_keogh_banded(x: &[f64], y: &[f64], radius: usize) -> f64 {
-    lb_keogh_banded_with_scratch(x, y, radius, &mut DtwScratch::new())
-}
-
-/// Allocation-free form of [`lb_keogh_banded`]: identical result, with the
-/// envelope deques taken from `scratch`.
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn lb_keogh_banded_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    scratch: &mut DtwScratch,
-) -> f64 {
-    let n = x.len();
-    let m = y.len();
-    assert!(n > 0 && m > 0, "lb_keogh requires non-empty series");
-    let deq_max = &mut scratch.deq_max;
-    let deq_min = &mut scratch.deq_min;
-    deq_max.clear();
-    deq_min.clear();
-
-    let mut sum = 0.0;
-    let mut next = 0usize; // first column not yet pushed into the deques
-    for (i, &xi) in x.iter().enumerate() {
-        let (lo, hi) = sakoe_chiba_range(n, m, radius, i);
-        // Admit new columns on the right (hi is non-decreasing).
-        while next <= hi {
-            while deq_max.back().is_some_and(|&b| y[b] <= y[next]) {
-                deq_max.pop_back();
-            }
-            deq_max.push_back(next);
-            while deq_min.back().is_some_and(|&b| y[b] >= y[next]) {
-                deq_min.pop_back();
-            }
-            deq_min.push_back(next);
-            next += 1;
-        }
-        // Expire columns on the left (lo is non-decreasing).
-        while deq_max.front().is_some_and(|&f| f < lo) {
-            deq_max.pop_front();
-        }
-        while deq_min.front().is_some_and(|&f| f < lo) {
-            deq_min.pop_front();
-        }
-        // The band `[lo, hi]` always contains at least one column, so the
-        // deques are never empty here; skipping the row (contributing no
-        // cost) keeps this a valid lower bound even if that ever changed.
-        let (Some(&hi_idx), Some(&lo_idx)) = (deq_max.front(), deq_min.front()) else {
-            continue;
-        };
-        let upper = y[hi_idx];
-        let lower = y[lo_idx];
-        if xi > upper {
-            sum += point_cost(xi, upper);
-        } else if xi < lower {
-            sum += point_cost(xi, lower);
-        }
-    }
-    sum
-}
-
-/// 4-lane unrolled form of [`lb_keogh_banded_with_scratch`]; the result
-/// is bit-identical.
 ///
 /// The deque sweep first materialises the per-row envelope into scratch
 /// buffers; the accumulation pass then uses a branchless clamped-gap
 /// cost — `over = max(xᵢ − Uᵢ, 0)`, `under = max(Lᵢ − xᵢ, 0)`,
 /// `over² + under²` — whose lanes are independent, leaving only the
-/// running sum sequential (in the same row order as the scalar loop).
+/// running sum sequential, in row order.
 ///
-/// # Bit-identity to the scalar form
+/// # Agreement with the per-row branch form
 ///
-/// At most one of `over`/`under` is non-zero (`Lᵢ ≤ Uᵢ` always), so the
-/// cost reduces to the scalar branch's single `point_cost` plus `+0.0`
-/// — a bitwise identity for the non-negative values involved. `NaN`
-/// envelopes or samples clamp both terms to zero, matching the scalar
-/// branches (comparisons against `NaN` are false) and the skipped-row
-/// `continue`, which the envelope pass encodes as a `NaN` envelope.
+/// The textbook form adds `point_cost(xᵢ, Uᵢ)` when `xᵢ > Uᵢ` and
+/// `point_cost(xᵢ, Lᵢ)` when `xᵢ < Lᵢ`. At most one of `over`/`under` is
+/// non-zero (`Lᵢ ≤ Uᵢ` always), so the clamped cost reduces to that single
+/// `point_cost` plus `+0.0` — a bitwise identity for the non-negative
+/// values involved. `NaN` envelopes or samples clamp both terms to zero,
+/// matching the branches (comparisons against `NaN` are false) and a row
+/// the branch form would skip, which the envelope pass encodes as a `NaN`
+/// envelope. `tests/kernel_oracle.rs` checks this against the branch form.
 ///
 /// # Panics
 ///
 /// Panics if either series is empty.
-pub fn lb_keogh_banded_x4_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    scratch: &mut DtwScratch,
-) -> f64 {
+pub fn lb_keogh_banded(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch) -> f64 {
     let n = x.len();
     let m = y.len();
     assert!(n > 0 && m > 0, "lb_keogh requires non-empty series");
@@ -162,8 +89,10 @@ pub fn lb_keogh_banded_x4_with_scratch(
         while deq_min.front().is_some_and(|&f| f < lo) {
             deq_min.pop_front();
         }
-        // A NaN envelope clamps the row's cost to zero below, matching
-        // the scalar kernel's skipped-row `continue`.
+        // The band `[lo, hi]` always contains at least one column, so the
+        // deques are never empty here; a NaN envelope would clamp the
+        // row's cost to zero below, keeping this a valid lower bound even
+        // if that ever changed.
         let (hi_v, lo_v) = match (deq_max.front(), deq_min.front()) {
             (Some(&h), Some(&l)) => (y[h], y[l]),
             _ => (f64::NAN, f64::NAN),
@@ -213,6 +142,7 @@ mod tests {
 
     #[test]
     fn bound_never_exceeds_banded_dtw() {
+        let mut scratch = DtwScratch::new();
         for (n, m, radius) in [
             (1usize, 1usize, 0usize),
             (1, 20, 2),
@@ -225,8 +155,8 @@ mod tests {
         ] {
             let x = pseudo_random(n as u64 * 31 + m as u64, n, 10.0);
             let y = pseudo_random(m as u64 * 17 + 5, m, 10.0);
-            let lb = lb_keogh_banded(&x, &y, radius);
-            let d = dtw_banded(&x, &y, radius);
+            let lb = lb_keogh_banded(&x, &y, radius, &mut scratch);
+            let d = dtw_banded(&x, &y, radius, None, &mut scratch).value();
             assert!(lb <= d + 1e-9, "lb {lb} > dtw {d} for ({n},{m},r={radius})");
             assert!(lb >= 0.0);
         }
@@ -235,91 +165,22 @@ mod tests {
     #[test]
     fn identical_series_have_zero_bound() {
         let x = pseudo_random(9, 64, 6.0);
-        assert_eq!(lb_keogh_banded(&x, &x, 2), 0.0);
+        assert_eq!(lb_keogh_banded(&x, &x, 2, &mut DtwScratch::new()), 0.0);
     }
 
     #[test]
     fn distant_series_have_positive_bound() {
         let x: Vec<f64> = (0..40).map(|i| i as f64 * 0.05).collect();
         let y: Vec<f64> = (0..40).map(|i| 30.0 + i as f64 * 0.05).collect();
-        let lb = lb_keogh_banded(&x, &y, 3);
+        let lb = lb_keogh_banded(&x, &y, 3, &mut DtwScratch::new());
         assert!(lb > 0.0);
         // Each of the 40 rows is ~30 off: the bound should be substantial.
         assert!(lb > 40.0 * 25.0 * 25.0);
     }
 
     #[test]
-    fn scratch_and_allocating_forms_agree() {
-        let x = pseudo_random(3, 77, 8.0);
-        let y = pseudo_random(4, 70, 8.0);
-        let mut scratch = DtwScratch::new();
-        // Dirty the deques with a prior call on other lengths.
-        let _ = lb_keogh_banded_with_scratch(&y, &x, 2, &mut scratch);
-        for radius in [0usize, 1, 4, 16] {
-            assert_eq!(
-                lb_keogh_banded(&x, &y, radius).to_bits(),
-                lb_keogh_banded_with_scratch(&x, &y, radius, &mut scratch).to_bits()
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_input_panics() {
-        lb_keogh_banded(&[], &[1.0], 1);
-    }
-
-    #[test]
-    fn x4_form_bit_identical_to_scalar() {
-        let mut scratch = DtwScratch::new();
-        for (n, m, radius) in [
-            (1usize, 1usize, 0usize),
-            (1, 20, 2),
-            (20, 1, 2),
-            (3, 3, 1),
-            (4, 4, 0),
-            (5, 160, 4),
-            (50, 50, 3),
-            (80, 61, 5),
-            (61, 80, 1),
-            (97, 101, 7),
-            (33, 200, 400),
-        ] {
-            let x = pseudo_random(n as u64 * 131 + m as u64, n, 14.0);
-            let y = pseudo_random(m as u64 * 71 + 3, m, 14.0);
-            assert_eq!(
-                lb_keogh_banded_x4_with_scratch(&x, &y, radius, &mut scratch).to_bits(),
-                lb_keogh_banded_with_scratch(&x, &y, radius, &mut scratch).to_bits(),
-                "x4 lb mismatch for ({n},{m},r={radius})"
-            );
-        }
-    }
-
-    #[test]
-    fn x4_form_matches_scalar_on_non_finite_input() {
-        let clean = pseudo_random(21, 70, 9.0);
-        let mut scratch = DtwScratch::new();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for at in [0usize, 17, 69] {
-                let mut dirty = clean.clone();
-                dirty[at] = bad;
-                for radius in [0usize, 2, 9] {
-                    assert_eq!(
-                        lb_keogh_banded_x4_with_scratch(&dirty, &clean, radius, &mut scratch)
-                            .to_bits(),
-                        lb_keogh_banded_with_scratch(&dirty, &clean, radius, &mut scratch)
-                            .to_bits(),
-                        "x side bad={bad} at={at} r={radius}"
-                    );
-                    assert_eq!(
-                        lb_keogh_banded_x4_with_scratch(&clean, &dirty, radius, &mut scratch)
-                            .to_bits(),
-                        lb_keogh_banded_with_scratch(&clean, &dirty, radius, &mut scratch)
-                            .to_bits(),
-                        "y side bad={bad} at={at} r={radius}"
-                    );
-                }
-            }
-        }
+        lb_keogh_banded(&[], &[1.0], 1, &mut DtwScratch::new());
     }
 }

@@ -1,22 +1,24 @@
 //! Reusable scratch storage for the DTW kernels.
 //!
-//! Every DTW variant in this crate needs a small amount of working
-//! memory: two rolling DP rows, monotonic deques for the LB_Keogh
-//! envelope, and (for FastDTW) buffers holding the coarsened series. A
-//! [`DtwScratch`] owns all of it, so a caller that measures many pairs —
-//! the comparison phase visits `n·(n−1)/2` of them per detection period —
-//! allocates once per worker thread instead of once per pair.
+//! Every distance kernel in this crate — [`crate::dtw::dtw`],
+//! [`crate::dtw::dtw_banded`], [`crate::fastdtw::fast_dtw`] and
+//! [`crate::lowerbound::lb_keogh_banded`] — takes its working memory from
+//! a [`DtwScratch`]: two rolling DP rows, monotonic deques and buffers for
+//! the LB_Keogh envelope, and (for FastDTW) buffers holding the coarsened
+//! series. A caller that measures many pairs — the comparison phase visits
+//! `n·(n−1)/2` of them per detection period — allocates once per worker
+//! thread instead of once per pair.
 //!
 //! # Lifetime rules
 //!
 //! * A scratch is **not** tied to any series length: buffers grow to the
 //!   largest problem seen and are reused (never shrunk) afterwards, so
 //!   interleaving calls with mismatched lengths is fine.
-//! * Kernels leave no observable state behind: every `*_with_scratch`
-//!   call produces results bit-identical to its allocating wrapper no
-//!   matter what was computed before. (Internally the rolling rows are
-//!   *not* cleared between calls — the dynamic programs write every cell
-//!   they later read — which is exactly why reuse is free.)
+//! * Kernels leave no observable state behind: a call returns the same
+//!   bits on a fresh scratch as on one reused for any earlier problem.
+//!   (Internally the rolling rows are *not* cleared between calls — the
+//!   dynamic program writes every cell it later reads — which is exactly
+//!   why reuse is free.)
 //! * A scratch is plain owned data (`Send`), but not shared: give each
 //!   worker thread its own (see `vp-par`'s per-worker `init`), never one
 //!   scratch to two threads.
@@ -39,9 +41,9 @@ pub struct DtwScratch {
     pub(crate) coarse_x: Vec<f64>,
     /// FastDTW coarsened copy of the second series.
     pub(crate) coarse_y: Vec<f64>,
-    /// Materialised per-row envelope maxima for the unrolled LB_Keogh.
+    /// Materialised per-row envelope maxima for LB_Keogh.
     pub(crate) env_hi: Vec<f64>,
-    /// Materialised per-row envelope minima for the unrolled LB_Keogh.
+    /// Materialised per-row envelope minima for LB_Keogh.
     pub(crate) env_lo: Vec<f64>,
 }
 
@@ -83,8 +85,9 @@ impl DtwScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtw::{dtw, dtw_banded, dtw_banded_with_scratch, dtw_with_scratch};
-    use crate::fastdtw::{fast_dtw, fast_dtw_with_scratch};
+    use crate::dtw::{dtw, dtw_banded};
+    use crate::fastdtw::fast_dtw;
+    use crate::lowerbound::lb_keogh_banded;
 
     fn wave(n: usize, phase: f64) -> Vec<f64> {
         (0..n)
@@ -102,19 +105,24 @@ mod tests {
             let x = wave(n, idx as f64 * 0.7);
             let y = wave(m, idx as f64 * 0.7 + 1.1);
             assert_eq!(
-                dtw_with_scratch(&x, &y, &mut scratch).to_bits(),
-                dtw(&x, &y).to_bits(),
+                dtw(&x, &y, &mut scratch).to_bits(),
+                dtw(&x, &y, &mut DtwScratch::new()).to_bits(),
                 "exact dtw diverged at shape {n}x{m}"
             );
             assert_eq!(
-                dtw_banded_with_scratch(&x, &y, 5, &mut scratch).to_bits(),
-                dtw_banded(&x, &y, 5).to_bits(),
+                dtw_banded(&x, &y, 5, None, &mut scratch),
+                dtw_banded(&x, &y, 5, None, &mut DtwScratch::new()),
                 "banded dtw diverged at shape {n}x{m}"
             );
             assert_eq!(
-                fast_dtw_with_scratch(&x, &y, 1, &mut scratch).to_bits(),
-                fast_dtw(&x, &y, 1).to_bits(),
+                fast_dtw(&x, &y, 1, &mut scratch).to_bits(),
+                fast_dtw(&x, &y, 1, &mut DtwScratch::new()).to_bits(),
                 "fast dtw diverged at shape {n}x{m}"
+            );
+            assert_eq!(
+                lb_keogh_banded(&x, &y, 5, &mut scratch).to_bits(),
+                lb_keogh_banded(&x, &y, 5, &mut DtwScratch::new()).to_bits(),
+                "lb_keogh diverged at shape {n}x{m}"
             );
         }
     }
@@ -124,11 +132,11 @@ mod tests {
         let mut scratch = DtwScratch::new();
         let x = wave(300, 0.0);
         let y = wave(280, 0.4);
-        let _ = dtw_with_scratch(&x, &y, &mut scratch);
+        let _ = dtw(&x, &y, &mut scratch);
         let cap = scratch.prev.capacity();
-        assert!(cap >= 281);
+        assert!(cap >= 280);
         // A smaller problem must not shrink the buffers.
-        let _ = dtw_with_scratch(&wave(5, 0.0), &wave(4, 0.1), &mut scratch);
+        let _ = dtw(&wave(5, 0.0), &wave(4, 0.1), &mut scratch);
         assert!(scratch.prev.capacity() >= cap);
     }
 
@@ -136,7 +144,7 @@ mod tests {
     fn with_capacity_avoids_growth() {
         let mut scratch = DtwScratch::with_capacity(256);
         let before = scratch.prev.capacity();
-        let _ = dtw_with_scratch(&wave(256, 0.0), &wave(256, 0.3), &mut scratch);
+        let _ = dtw(&wave(256, 0.0), &wave(256, 0.3), &mut scratch);
         assert_eq!(scratch.prev.capacity(), before);
     }
 

@@ -149,8 +149,12 @@ pub fn sketch_lower_bound(x: &SeriesSketch, y: &SeriesSketch, radius: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtw::dtw_banded;
+    use crate::scratch::DtwScratch;
     use vp_stats::rng::SplitMix64;
+
+    fn dtw_banded(x: &[f64], y: &[f64], radius: usize) -> f64 {
+        crate::dtw::dtw_banded(x, y, radius, None, &mut DtwScratch::new()).value()
+    }
 
     /// Deterministic pseudo-random series in a dBm-like range.
     fn random_series(seed: u64, len: usize, spread: f64) -> Vec<f64> {

@@ -54,9 +54,8 @@ impl SearchWindow {
     /// diagonal.
     ///
     /// Row `i`'s range is exactly [`sakoe_chiba_range`]`(rows, cols,
-    /// radius, i)`, so the allocation-free banded kernel
-    /// ([`crate::dtw::dtw_banded_with_scratch`]) visits the same cells as
-    /// a DP over this window.
+    /// radius, i)`, so the banded kernel ([`crate::dtw::dtw_banded`])
+    /// visits the same cells as a DP over this window.
     ///
     /// # Panics
     ///
@@ -225,8 +224,8 @@ impl SearchWindow {
 /// The band is centred on the length-rescaled diagonal, and the corner
 /// rows are anchored so `(0, 0)` and `(rows−1, cols−1)` are always
 /// inside. [`SearchWindow::sakoe_chiba`] materialises these ranges; the
-/// scratch-based banded kernels compute them on the fly from this
-/// function, which is what keeps the two paths cell-for-cell identical.
+/// banded kernel and LB_Keogh compute them on the fly from this function,
+/// which is what keeps all three cell-for-cell identical.
 ///
 /// # Panics
 ///

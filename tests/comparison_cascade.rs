@@ -1,23 +1,25 @@
 //! Property tests for the sub-quadratic comparison cascade: the
 //! cross-window result cache, the sketch triage lower bound, and the
-//! SIMD-width (4-lane-unrolled) kernels. The contracts under test are
-//! the ones DESIGN.md §14 pins:
+//! 4-lane-unrolled kernels. The contracts under test are the ones
+//! DESIGN.md §14 pins:
 //!
 //! 1. Cached sweeps are **bit-identical** to cache-off sweeps, for any
 //!    cache state a sliding-window workload can produce.
 //! 2. The sketch lower bound is **admissible**: it never exceeds the
 //!    banded DTW distance it gates.
-//! 3. The unrolled kernels match the scalar kernels **bit for bit**,
-//!    including on non-finite inputs.
+//! 3. The unrolled kernels match the scalar references in
+//!    `tests/oracle/mod.rs` **bit for bit** on these cases, including on
+//!    non-finite inputs. `tests/kernel_oracle.rs` runs the wider
+//!    adversarial sweep, where only the NaN's sign may differ.
 
+mod oracle;
+
+use oracle::{scalar_banded, scalar_exact, scalar_lb_keogh};
 use voiceprint::comparator::{compare, compare_with_cache, ComparisonConfig};
 use voiceprint::ComparisonCache;
 use vp_stats::rng::SplitMix64;
-use vp_timeseries::dtw::{
-    dtw_banded, dtw_banded_prunable_with_scratch, dtw_banded_prunable_x4_with_scratch,
-    dtw_banded_with_scratch, dtw_banded_x4_with_scratch,
-};
-use vp_timeseries::lowerbound::{lb_keogh_banded_with_scratch, lb_keogh_banded_x4_with_scratch};
+use vp_timeseries::dtw::{dtw, dtw_banded};
+use vp_timeseries::lowerbound::lb_keogh_banded;
 use vp_timeseries::scratch::DtwScratch;
 use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch};
 
@@ -111,7 +113,7 @@ fn sketch_lower_bound_is_admissible() {
         let x = series(&mut rng, 60);
         let y = series(&mut rng, 60);
         let radius = rng.range_usize(0..8);
-        let d = dtw_banded(&x, &y, radius);
+        let d = dtw_banded(&x, &y, radius, None, &mut DtwScratch::new()).value();
         let sx = SeriesSketch::build(&x);
         let sy = SeriesSketch::build(&y);
         let slb = sketch_lower_bound(&sx, &sy, radius);
@@ -128,48 +130,54 @@ fn sketch_lower_bound_is_admissible() {
 
 #[test]
 fn unrolled_kernels_match_scalar_bit_for_bit() {
+    let mut scratch = DtwScratch::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::seed_from_u64(case);
         let x = series(&mut rng, 70);
         let y = series(&mut rng, 70);
         let radius = rng.range_usize(0..8);
         let threshold = rng.range_f64(0.0..500.0);
-        let mut s1 = DtwScratch::new();
-        let mut s2 = DtwScratch::new();
-        let d_scalar = dtw_banded_with_scratch(&x, &y, radius, &mut s1);
-        let d_x4 = dtw_banded_x4_with_scratch(&x, &y, radius, &mut s2);
-        assert_eq!(d_scalar.to_bits(), d_x4.to_bits(), "case {case}");
-        let p_scalar = dtw_banded_prunable_with_scratch(&x, &y, radius, threshold, &mut s1);
-        let p_x4 = dtw_banded_prunable_x4_with_scratch(&x, &y, radius, threshold, &mut s2);
+        let d_scalar = scalar_banded(&x, &y, radius, None);
+        let d_x4 = dtw_banded(&x, &y, radius, None, &mut scratch);
+        assert_eq!(
+            d_scalar.value().to_bits(),
+            d_x4.value().to_bits(),
+            "case {case}"
+        );
+        let p_scalar = scalar_banded(&x, &y, radius, Some(threshold));
+        let p_x4 = dtw_banded(&x, &y, radius, Some(threshold), &mut scratch);
         assert_eq!(p_scalar.is_pruned(), p_x4.is_pruned(), "case {case}");
         assert_eq!(
             p_scalar.value().to_bits(),
             p_x4.value().to_bits(),
             "case {case}"
         );
-        let lb_scalar = lb_keogh_banded_with_scratch(&x, &y, radius, &mut s1);
-        let lb_x4 = lb_keogh_banded_x4_with_scratch(&x, &y, radius, &mut s2);
+        let lb_scalar = scalar_lb_keogh(&x, &y, radius);
+        let lb_x4 = lb_keogh_banded(&x, &y, radius, &mut scratch);
         assert_eq!(lb_scalar.to_bits(), lb_x4.to_bits(), "case {case}");
+        // The same unrolled DP over the full matrix.
+        let e_scalar = scalar_exact(&x, &y);
+        let e_x4 = dtw(&x, &y, &mut scratch);
+        assert_eq!(e_scalar.to_bits(), e_x4.to_bits(), "case {case}");
     }
 }
 
 #[test]
 fn unrolled_kernels_match_scalar_on_arbitrary_bit_patterns() {
+    let mut scratch = DtwScratch::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::seed_from_u64(case);
         // Hostile inputs: every NaN payload, infinities, subnormals. The
-        // unrolled kernels must still track the scalar ones bit for bit
-        // (NaN vs NaN compares equal through to_bits).
+        // unrolled kernels must still track the scalar references bit for
+        // bit (NaN vs NaN compares equal through to_bits).
         let x = raw_bits(&mut rng, 40);
         let y = raw_bits(&mut rng, 40);
         let radius = rng.range_usize(0..6);
-        let mut s1 = DtwScratch::new();
-        let mut s2 = DtwScratch::new();
-        let d_scalar = dtw_banded_with_scratch(&x, &y, radius, &mut s1);
-        let d_x4 = dtw_banded_x4_with_scratch(&x, &y, radius, &mut s2);
+        let d_scalar = scalar_banded(&x, &y, radius, None).value();
+        let d_x4 = dtw_banded(&x, &y, radius, None, &mut scratch).value();
         assert_eq!(d_scalar.to_bits(), d_x4.to_bits(), "case {case}");
-        let lb_scalar = lb_keogh_banded_with_scratch(&x, &y, radius, &mut s1);
-        let lb_x4 = lb_keogh_banded_x4_with_scratch(&x, &y, radius, &mut s2);
+        let lb_scalar = scalar_lb_keogh(&x, &y, radius);
+        let lb_x4 = lb_keogh_banded(&x, &y, radius, &mut scratch);
         assert_eq!(lb_scalar.to_bits(), lb_x4.to_bits(), "case {case}");
     }
 }

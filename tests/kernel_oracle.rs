@@ -1,0 +1,289 @@
+//! The distance kernels against their scalar references.
+//!
+//! `vp-timeseries` computes every DTW distance with one 4-lane rolling-row
+//! dynamic program and every LB_Keogh bound with one clamped-gap form
+//! (DESIGN.md §14). The textbook forms — the scalar rolling DP with its
+//! early-abandon rule and the per-row branch LB_Keogh — are test-only
+//! oracles in `tests/oracle/mod.rs`. This file checks, over an
+//! adversarial seeded sweep and fixed shapes:
+//!
+//! 1. `dtw_banded`, with and without an abandon threshold, against the
+//!    scalar DP over the same band: the value, the abandon decision and
+//!    the carried bound;
+//! 2. `dtw` against the scalar DP over the full matrix;
+//! 3. `lb_keogh_banded` against the scalar LB_Keogh;
+//! 4. `fast_dtw` against `fast_dtw_with_path(..).0`, whose top level runs
+//!    the independent path-keeping DP.
+//!
+//! The contract is every non-NaN bit, and NaN exactly where the oracle
+//! gives NaN. The NaN's sign bit is not part of it: an `∞ − ∞` NaN can
+//! reach the two `min` trees in a different order, and the scalar and
+//! 4-lane kernels then return NaNs of opposite sign. The RSSI-like and
+//! raw-bit cases run against the same oracles in
+//! `tests/comparison_cascade.rs` and `tests/pipeline_properties.rs`.
+
+mod oracle;
+
+use oracle::{scalar_banded, scalar_exact, scalar_lb_keogh};
+use vp_stats::rng::SplitMix64;
+use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
+use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
+use vp_timeseries::lowerbound::lb_keogh_banded;
+use vp_timeseries::DtwScratch;
+
+/// Seeded cases in the adversarial sweep.
+const CASES: u64 = 1500;
+
+// ---------------------------------------------------------------------
+// Comparison helpers.
+// ---------------------------------------------------------------------
+
+/// Every non-NaN bit, and NaN exactly where the oracle gives NaN.
+fn assert_same(kernel: f64, oracle: f64, what: &str) {
+    if oracle.is_nan() {
+        assert!(
+            kernel.is_nan(),
+            "{what}: {kernel:?} where the oracle gives NaN"
+        );
+    } else {
+        assert_eq!(
+            kernel.to_bits(),
+            oracle.to_bits(),
+            "{what}: {kernel:?} vs oracle {oracle:?}"
+        );
+    }
+}
+
+/// The abandon decision and the carried value.
+fn assert_same_bounded(kernel: BoundedDistance, oracle: BoundedDistance, what: &str) {
+    assert_eq!(
+        kernel.is_pruned(),
+        oracle.is_pruned(),
+        "{what}: abandon decision {kernel:?} vs oracle {oracle:?}"
+    );
+    assert_same(kernel.value(), oracle.value(), what);
+}
+
+/// Checks one `(x, y)` pair at `radius` on every kernel, with the
+/// thresholds `thresholds` for the abandoning form. The scratch is reused
+/// across calls on purpose: stale contents must never leak into a result.
+fn check_pair(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+    thresholds: &[f64],
+    scratch: &mut DtwScratch,
+    what: &str,
+) {
+    assert_same_bounded(
+        dtw_banded(x, y, radius, None, scratch),
+        scalar_banded(x, y, radius, None),
+        &format!("{what}: banded r={radius}"),
+    );
+    for &t in thresholds {
+        assert_same_bounded(
+            dtw_banded(x, y, radius, Some(t), scratch),
+            scalar_banded(x, y, radius, Some(t)),
+            &format!("{what}: banded r={radius} abandon above {t:?}"),
+        );
+    }
+    assert_same(
+        lb_keogh_banded(x, y, radius, scratch),
+        scalar_lb_keogh(x, y, radius),
+        &format!("{what}: lb_keogh r={radius}"),
+    );
+}
+
+/// Checks the full-matrix and FastDTW kernels on one `(x, y)` pair.
+fn check_exact_and_fast(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch, what: &str) {
+    assert_same(
+        dtw(x, y, scratch),
+        scalar_exact(x, y),
+        &format!("{what}: exact"),
+    );
+    assert_same(
+        fast_dtw(x, y, radius, scratch),
+        fast_dtw_with_path(x, y, radius).0,
+        &format!("{what}: fast_dtw r={radius}"),
+    );
+}
+
+// ---------------------------------------------------------------------
+// Seeded adversarial sweep.
+// ---------------------------------------------------------------------
+
+/// `len` samples of a random walk in which about `bad_per_mille` ‰ of the
+/// samples are NaN or ±∞, or — when `raw` — arbitrary bit patterns (NaN
+/// payloads, infinities, subnormals, zeros of both signs).
+fn hostile_series(rng: &mut SplitMix64, len: usize, raw: bool, bad_per_mille: u64) -> Vec<f64> {
+    let mut level = 0.0;
+    (0..len)
+        .map(|_| {
+            if raw {
+                return f64::from_bits(rng.next_u64());
+            }
+            level += rng.range_f64(-1.0..1.0);
+            if rng.range_u64(0..1000) < bad_per_mille {
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.range_usize(0..3)]
+            } else {
+                level
+            }
+        })
+        .collect()
+}
+
+/// Abandon thresholds around the oracle's banded distance `d`: well
+/// below, just below, exactly at (the strict-inequality edge) and above;
+/// a fixed spread when `d` is not finite.
+fn thresholds_around(d: f64, rng: &mut SplitMix64) -> Vec<f64> {
+    if d.is_finite() {
+        vec![d * rng.range_f64(0.0..0.5), d * 0.999, d, d * 2.0 + 1.0]
+    } else {
+        vec![0.0, rng.range_f64(0.0..100.0), f64::INFINITY]
+    }
+}
+
+#[test]
+fn seeded_sweep_matches_the_oracles() {
+    let mut scratch = DtwScratch::new();
+    for case in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(case);
+        // Lengths 1–200, with a third of the cases kept short so the
+        // degenerate shapes (one row, one column) come up often.
+        let max_len = if case % 3 == 0 { 12 } else { 201 };
+        let n = rng.range_usize(1..max_len);
+        let m = rng.range_usize(1..max_len);
+        // One case in four: raw bit patterns. Otherwise a quarter of the
+        // walks carry ~3% NaN/±∞ samples.
+        let raw = case % 4 == 3;
+        let bad = if rng.range_u64(0..4) == 0 { 30 } else { 0 };
+        let x = hostile_series(&mut rng, n, raw, bad);
+        let y = hostile_series(&mut rng, m, raw, bad);
+        // Radii from 0 to past the longer length, biased towards the
+        // narrow bands the comparator runs.
+        let radius = if rng.fair_bool() {
+            rng.range_usize(0..6)
+        } else {
+            rng.range_usize(0..n.max(m) + 8)
+        };
+        let d = scalar_banded(&x, &y, radius, None).value();
+        let thresholds = thresholds_around(d, &mut rng);
+        let what = format!("case {case} ({n}x{m})");
+        check_pair(&x, &y, radius, &thresholds, &mut scratch, &what);
+        check_exact_and_fast(&x, &y, rng.range_usize(0..4), &mut scratch, &what);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fixed cases: degenerate and skewed shapes, bands wider than both
+// series, thresholds on both sides of the distance, hostile samples at
+// the edges.
+// ---------------------------------------------------------------------
+
+fn uniform(rng: &mut SplitMix64, len: usize, lo: f64, hi: f64) -> Vec<f64> {
+    (0..len).map(|_| rng.range_f64(lo..hi)).collect()
+}
+
+#[test]
+fn fixed_shapes_match_the_oracles() {
+    let mut scratch = DtwScratch::new();
+    // Shapes and radii of the banded and full-matrix twin checks.
+    let mut rng = SplitMix64::seed_from_u64(13);
+    for (n, m) in [
+        (1, 1),
+        (1, 9),
+        (9, 1),
+        (2, 2),
+        (5, 160),
+        (160, 5),
+        (12, 12),
+        (40, 31),
+        (31, 40),
+        (80, 77),
+        (97, 101),
+        (128, 128),
+    ] {
+        let x = uniform(&mut rng, n, -5.0, 5.0);
+        let y = uniform(&mut rng, m, -5.0, 5.0);
+        let what = format!("shape {n}x{m}");
+        for radius in [0usize, 1, 2, 3, 7, 10, 64, 500] {
+            check_pair(&x, &y, radius, &[], &mut scratch, &what);
+        }
+        check_exact_and_fast(&x, &y, 1, &mut scratch, &what);
+    }
+    // The abandon decision straddling the distance, equality included.
+    let mut rng = SplitMix64::seed_from_u64(99);
+    for (n, m) in [(3, 3), (20, 26), (26, 20), (75, 75), (120, 111)] {
+        let x = uniform(&mut rng, n, -5.0, 5.0);
+        let y: Vec<f64> = uniform(&mut rng, m, -5.0, 5.0)
+            .iter()
+            .map(|v| v + 6.0)
+            .collect();
+        let d = scalar_banded(&x, &y, 4, None).value();
+        let thresholds = [d / 16.0, d / 2.0, d, d * 2.0];
+        check_pair(
+            &x,
+            &y,
+            4,
+            &thresholds,
+            &mut scratch,
+            &format!("abandon {n}x{m}"),
+        );
+    }
+    // LB_Keogh shapes, including a band wider than both series.
+    for (n, m, radius) in [
+        (1usize, 1usize, 0usize),
+        (1, 20, 2),
+        (20, 1, 2),
+        (3, 3, 1),
+        (4, 4, 0),
+        (5, 160, 4),
+        (50, 50, 3),
+        (77, 70, 16),
+        (80, 61, 5),
+        (61, 80, 1),
+        (97, 101, 7),
+        (33, 200, 400),
+    ] {
+        let x = uniform(
+            &mut SplitMix64::seed_from_u64(n as u64 * 131 + m as u64),
+            n,
+            -7.0,
+            7.0,
+        );
+        let y = uniform(
+            &mut SplitMix64::seed_from_u64(m as u64 * 71 + 3),
+            m,
+            -7.0,
+            7.0,
+        );
+        check_pair(&x, &y, radius, &[], &mut scratch, &format!("lb {n}x{m}"));
+    }
+}
+
+#[test]
+fn non_finite_samples_match_the_oracles() {
+    let mut scratch = DtwScratch::new();
+    let wave: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+    let noise = uniform(&mut SplitMix64::seed_from_u64(21), 70, -4.5, 4.5);
+    for clean in [wave, noise] {
+        let last = clean.len() - 1;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0usize, 7, 17, 31, last] {
+                let mut dirty = clean.clone();
+                dirty[at] = bad;
+                let what = format!("len {} bad={bad} at={at}", clean.len());
+                for radius in [0usize, 1, 2, 5, 9, 100] {
+                    check_pair(&clean, &dirty, radius, &[1.0], &mut scratch, &what);
+                    check_pair(&dirty, &clean, radius, &[1.0], &mut scratch, &what);
+                }
+                check_exact_and_fast(&clean, &dirty, 1, &mut scratch, &what);
+            }
+        }
+        // Every DP cell NaN.
+        let all_nan = vec![f64::NAN; 48];
+        check_pair(&clean, &all_nan, 3, &[1.0], &mut scratch, "all NaN");
+        check_pair(&all_nan, &clean, 3, &[1.0], &mut scratch, "all NaN");
+        check_exact_and_fast(&clean, &all_nan, 1, &mut scratch, "all NaN");
+    }
+}

@@ -1,0 +1,131 @@
+//! Test-only scalar references for the distance kernels.
+//!
+//! `vp-timeseries` computes every DTW distance with one 4-lane rolling-row
+//! dynamic program and every LB_Keogh bound with one clamped-gap form
+//! (DESIGN.md §14). This module keeps the textbook forms — the scalar
+//! rolling DP with its early-abandon rule and the per-row branch
+//! LB_Keogh — with their own buffers.
+//!
+//! `tests/kernel_oracle.rs` runs the adversarial sweep against them;
+//! `tests/comparison_cascade.rs` and `tests/pipeline_properties.rs` run
+//! their RSSI-like and raw-bit cases against them.
+
+use vp_timeseries::dtw::{point_cost, BoundedDistance};
+use vp_timeseries::window::sakoe_chiba_range;
+
+/// The scalar rolling-row windowed DP: per cell
+/// `c + up.min(diag).min(left)`, row minima folded left to right, and the
+/// row abandoned once its minimum exceeds the threshold (strictly).
+fn scalar_dp(
+    x: &[f64],
+    y: &[f64],
+    range_at: impl Fn(usize) -> (usize, usize),
+    abandon_above: Option<f64>,
+) -> BoundedDistance {
+    assert!(
+        !x.is_empty() && !y.is_empty(),
+        "dtw requires non-empty series"
+    );
+    let m = y.len();
+    let mut prev = vec![f64::INFINITY; m];
+    let mut curr = vec![f64::INFINITY; m];
+    let mut prev_range = (0usize, 0usize);
+    for (i, &xi) in x.iter().enumerate() {
+        let (lo, hi) = range_at(i);
+        let mut row_min = f64::INFINITY;
+        for j in lo..=hi {
+            let c = point_cost(xi, y[j]);
+            let best = if i == 0 && j == 0 {
+                0.0
+            } else {
+                let up = if i > 0 && j >= prev_range.0 && j <= prev_range.1 {
+                    prev[j]
+                } else {
+                    f64::INFINITY
+                };
+                let diag = if i > 0 && j > prev_range.0 && j - 1 <= prev_range.1 {
+                    prev[j - 1]
+                } else {
+                    f64::INFINITY
+                };
+                let left = if j > lo { curr[j - 1] } else { f64::INFINITY };
+                up.min(diag).min(left)
+            };
+            let cell = c + best;
+            curr[j] = cell;
+            row_min = row_min.min(cell);
+        }
+        if let Some(t) = abandon_above {
+            if row_min > t {
+                return BoundedDistance::AboveThreshold(row_min);
+            }
+        }
+        std::mem::swap(&mut prev, &mut curr);
+        prev_range = (lo, hi);
+    }
+    BoundedDistance::Exact(prev[m - 1])
+}
+
+/// The scalar DP over the Sakoe–Chiba band of half-width `radius`.
+pub fn scalar_banded(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+    abandon_above: Option<f64>,
+) -> BoundedDistance {
+    let (n, m) = (x.len(), y.len());
+    scalar_dp(x, y, |i| sakoe_chiba_range(n, m, radius, i), abandon_above)
+}
+
+/// The scalar DP over the full matrix.
+pub fn scalar_exact(x: &[f64], y: &[f64]) -> f64 {
+    let m = y.len();
+    scalar_dp(x, y, |_| (0, m - 1), None).value()
+}
+
+/// The scalar LB_Keogh: a monotonic-deque envelope sweep that adds
+/// `point_cost(xᵢ, Uᵢ)` above the envelope and `point_cost(xᵢ, Lᵢ)` below.
+pub fn scalar_lb_keogh(x: &[f64], y: &[f64], radius: usize) -> f64 {
+    use std::collections::VecDeque;
+    let n = x.len();
+    let m = y.len();
+    assert!(n > 0 && m > 0, "lb_keogh requires non-empty series");
+    let mut deq_max: VecDeque<usize> = VecDeque::new();
+    let mut deq_min: VecDeque<usize> = VecDeque::new();
+
+    let mut sum = 0.0;
+    let mut next = 0usize; // first column not yet pushed into the deques
+    for (i, &xi) in x.iter().enumerate() {
+        let (lo, hi) = sakoe_chiba_range(n, m, radius, i);
+        // Admit new columns on the right (hi is non-decreasing).
+        while next <= hi {
+            while deq_max.back().is_some_and(|&b| y[b] <= y[next]) {
+                deq_max.pop_back();
+            }
+            deq_max.push_back(next);
+            while deq_min.back().is_some_and(|&b| y[b] >= y[next]) {
+                deq_min.pop_back();
+            }
+            deq_min.push_back(next);
+            next += 1;
+        }
+        // Expire columns on the left (lo is non-decreasing).
+        while deq_max.front().is_some_and(|&f| f < lo) {
+            deq_max.pop_front();
+        }
+        while deq_min.front().is_some_and(|&f| f < lo) {
+            deq_min.pop_front();
+        }
+        let (Some(&hi_idx), Some(&lo_idx)) = (deq_max.front(), deq_min.front()) else {
+            continue;
+        };
+        let upper = y[hi_idx];
+        let lower = y[lo_idx];
+        if xi > upper {
+            sum += point_cost(xi, upper);
+        } else if xi < lower {
+            sum += point_cost(xi, lower);
+        }
+    }
+    sum
+}

@@ -2,13 +2,17 @@
 //! invariants that must hold for arbitrary inputs, spanning
 //! vp-timeseries, vp-classify and voiceprint.
 
+mod oracle;
+
+use oracle::{scalar_banded, scalar_exact, scalar_lb_keogh};
 use voiceprint::collector::Collector;
 use voiceprint::comparator::{compare, compare_sequential, ComparisonConfig, DistanceMeasure};
 use voiceprint::confirm::confirm;
 use voiceprint::threshold::ThresholdPolicy;
 use vp_stats::rng::SplitMix64;
 use vp_timeseries::dtw::{dtw, dtw_banded, dtw_with_path, is_valid_warp_path};
-use vp_timeseries::fastdtw::fast_dtw;
+use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
+use vp_timeseries::lowerbound::lb_keogh_banded;
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
 use vp_timeseries::scratch::DtwScratch;
 
@@ -31,28 +35,31 @@ fn raw_bits(rng: &mut SplitMix64, max_words: usize) -> Vec<u64> {
 
 #[test]
 fn dtw_is_symmetric_nonnegative_and_zero_on_self() {
+    let mut s = DtwScratch::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::seed_from_u64(case);
         let x = series(&mut rng, 40);
         let y = series(&mut rng, 40);
-        let d = dtw(&x, &y);
+        let d = dtw(&x, &y, &mut s);
         assert!(d >= 0.0, "case {case}: {d}");
-        assert!((d - dtw(&y, &x)).abs() < 1e-9, "case {case}");
-        assert_eq!(dtw(&x, &x), 0.0, "case {case}");
+        assert!((d - dtw(&y, &x, &mut s)).abs() < 1e-9, "case {case}");
+        assert_eq!(dtw(&x, &x, &mut s), 0.0, "case {case}");
     }
 }
 
 #[test]
 fn constrained_variants_never_underestimate_exact_dtw() {
+    let mut s = DtwScratch::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::seed_from_u64(case);
         let x = series(&mut rng, 40);
         let y = series(&mut rng, 40);
-        let exact = dtw(&x, &y);
-        assert!(fast_dtw(&x, &y, 1) >= exact - 1e-9, "case {case}");
-        assert!(dtw_banded(&x, &y, 3) >= exact - 1e-9, "case {case}");
+        let exact = dtw(&x, &y, &mut s);
+        assert!(fast_dtw(&x, &y, 1, &mut s) >= exact - 1e-9, "case {case}");
+        let banded = dtw_banded(&x, &y, 3, None, &mut s).value();
+        assert!(banded >= exact - 1e-9, "case {case}");
         // And a maximal band equals exact DTW.
-        let maximal = dtw_banded(&x, &y, x.len().max(y.len()));
+        let maximal = dtw_banded(&x, &y, x.len().max(y.len()), None, &mut s).value();
         assert!((maximal - exact).abs() < 1e-9, "case {case}");
     }
 }
@@ -221,18 +228,29 @@ fn scratch_kernels_match_allocating_kernels() {
         let radius = rng.range_usize(0..6);
         let mut scratch = DtwScratch::new();
         // Dirty the scratch with an unrelated computation first: reuse
-        // must not leak state between calls.
-        let _ = vp_timeseries::dtw::dtw_with_scratch(&y, &x, &mut scratch);
-        let d = vp_timeseries::dtw::dtw_with_scratch(&x, &y, &mut scratch);
-        assert_eq!(d.to_bits(), dtw(&x, &y).to_bits(), "case {case}");
-        let b = vp_timeseries::dtw::dtw_banded_with_scratch(&x, &y, radius, &mut scratch);
+        // must not leak state between calls. The references allocate
+        // their own buffers.
+        let _ = dtw(&y, &x, &mut scratch);
+        let d = dtw(&x, &y, &mut scratch);
+        assert_eq!(d.to_bits(), scalar_exact(&x, &y).to_bits(), "case {case}");
+        let b = dtw_banded(&x, &y, radius, None, &mut scratch).value();
         assert_eq!(
             b.to_bits(),
-            dtw_banded(&x, &y, radius).to_bits(),
+            scalar_banded(&x, &y, radius, None).value().to_bits(),
             "case {case}"
         );
-        let f = vp_timeseries::fastdtw::fast_dtw_with_scratch(&x, &y, 1, &mut scratch);
-        assert_eq!(f.to_bits(), fast_dtw(&x, &y, 1).to_bits(), "case {case}");
+        let f = fast_dtw(&x, &y, 1, &mut scratch);
+        assert_eq!(
+            f.to_bits(),
+            fast_dtw_with_path(&x, &y, 1).0.to_bits(),
+            "case {case}"
+        );
+        let lb = lb_keogh_banded(&x, &y, radius, &mut scratch);
+        assert_eq!(
+            lb.to_bits(),
+            scalar_lb_keogh(&x, &y, radius).to_bits(),
+            "case {case}"
+        );
     }
 }
 

@@ -4,9 +4,10 @@
 //! a beacon storm.
 
 use voiceprint::{ThresholdPolicy, VoiceprintDetector};
-use vp_fault::{FaultKind, FaultPlan};
+use vp_fault::{Beacon, FaultKind, FaultPlan};
 use vp_runtime::{
-    run_scenario_streaming, RoundOutcome, RuntimeConfig, StreamingRuntime, WindowReport,
+    run_scenario_streaming, DeadlinePolicy, DegradeConfig, RoundOutcome, RuntimeConfig,
+    StreamingRuntime, WindowReport,
 };
 use vp_sim::ScenarioConfig;
 
@@ -282,4 +283,78 @@ fn mid_window_identity_churn_cannot_wedge_the_runtime() {
             "identity {h} starved behind the NaN entry"
         );
     }
+}
+
+/// Four identities (six pairs), 150 samples each at 10 Hz, in the
+/// 20 s window that starts at `t0`.
+fn feed_four(rt: &mut StreamingRuntime, t0: f64) {
+    for k in 0..150u32 {
+        let u = 0.05 + f64::from(k) * 0.1;
+        for id in 1..=4u64 {
+            let rssi = -70.0 - id as f64 + (u * (0.3 + id as f64 * 0.2)).sin() * 3.0;
+            rt.offer(t0 + u, Beacon::new(id, t0 + u, rssi));
+        }
+    }
+}
+
+/// Feeds the window that ends at `t0 + 20` and returns its verdict.
+fn run_window(rt: &mut StreamingRuntime, t0: f64) -> WindowReport {
+    feed_four(rt, t0);
+    let outcomes = rt.advance_to(t0 + 20.0);
+    assert_eq!(outcomes.len(), 1, "window at {t0}");
+    match &outcomes[0] {
+        RoundOutcome::Verdict(report) => report.clone(),
+        other => panic!("window at {t0}: expected a verdict, got {other:?}"),
+    }
+}
+
+/// A one-pair budget over six pairs misses every round, so each window
+/// steps one degradation level deeper.
+fn always_missing(max_level: u8) -> RuntimeConfig {
+    let mut config = RuntimeConfig::paper_default(policy());
+    config.deadline = DeadlinePolicy::PairBudget(1);
+    config.degrade = DegradeConfig {
+        max_level,
+        ..DegradeConfig::default()
+    };
+    config
+}
+
+#[test]
+fn every_u8_degradation_level_runs_a_round() {
+    // Halving the band by `1 << level` overflowed at level 32: the shift
+    // panicked in `advance_to`, outside the round's panic guard.
+    let mut rt = StreamingRuntime::new(always_missing(40)).expect("valid config");
+    for round in 0..44u8 {
+        let report = run_window(&mut rt, f64::from(round) * 20.0);
+        assert!(!report.complete, "round {round} must miss its budget");
+        assert_eq!(report.degrade_level, round.min(40), "round {round}");
+    }
+    assert_eq!(rt.degrade_level(), 40, "saturates at max_level");
+}
+
+#[test]
+fn restore_clamps_a_stored_level_to_the_configs_max_level() {
+    let mut deep = StreamingRuntime::new(always_missing(8)).expect("valid config");
+    for round in 0..4u8 {
+        run_window(&mut deep, f64::from(round) * 20.0);
+    }
+    assert_eq!(deep.degrade_level(), 4);
+    let bytes = deep.checkpoint();
+
+    let mut config = RuntimeConfig::paper_default(policy());
+    config.deadline = DeadlinePolicy::PairBudget(1);
+    assert_eq!(config.degrade, DegradeConfig::default());
+    let mut restored = StreamingRuntime::restore(config, &bytes).expect("checkpoint restores");
+    assert_eq!(
+        restored.degrade_level(),
+        2,
+        "clamped to the default max_level"
+    );
+    let report = run_window(&mut restored, 80.0);
+    assert_eq!(
+        report.degrade_level, 2,
+        "the next window runs at the clamped level"
+    );
+    assert_eq!(restored.degrade_level(), 2);
 }
