@@ -58,11 +58,6 @@ impl<D: Detector> MultiPeriodDetector<D> {
         }
     }
 
-    /// The wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
     /// Clears all remembered history (e.g. between simulation runs).
     pub fn reset(&self) {
         lock_history(&self.history).clear();

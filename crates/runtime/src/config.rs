@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use voiceprint::{AdaptiveConfig, ChurnPolicy, ComparisonConfig, ThresholdPolicy};
+use voiceprint::{AdaptiveConfig, ChurnPolicy, ComparisonConfig, DistanceMeasure, ThresholdPolicy};
 use vp_fault::VpError;
 use vp_sim::ScenarioConfig;
 
@@ -208,6 +208,15 @@ impl RuntimeConfig {
                 return Err(VpError::InvalidConfig("wall-clock budget must be nonzero"));
             }
         }
+        // 0.0 is the 3-sample band floor and +∞ the full matrix; NaN and
+        // negative fractions would silently become the floor too.
+        if let DistanceMeasure::BandedDtw { band_fraction } = self.comparison.measure {
+            if !(band_fraction >= 0.0) {
+                return Err(VpError::InvalidConfig(
+                    "band fraction must be a non-negative number",
+                ));
+            }
+        }
         if let Some(a) = &self.adaptive {
             a.validate().map_err(VpError::InvalidConfig)?;
         }
@@ -279,6 +288,25 @@ mod tests {
             ..ChurnPolicy::default()
         });
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_nan_or_negative_band_fraction() {
+        let banded = |band_fraction| {
+            let mut c = RuntimeConfig::paper_default(ThresholdPolicy::Constant(0.05));
+            c.comparison.measure = DistanceMeasure::BandedDtw { band_fraction };
+            c.validate()
+        };
+        for bad in [f64::NAN, -0.05, f64::NEG_INFINITY] {
+            assert!(
+                matches!(banded(bad), Err(VpError::InvalidConfig(_))),
+                "band fraction {bad} accepted"
+            );
+        }
+        // The 3-sample floor and the full matrix stay valid.
+        for good in [0.0, 0.05, 1.0, f64::INFINITY] {
+            assert!(banded(good).is_ok(), "band fraction {good} rejected");
+        }
     }
 
     #[test]

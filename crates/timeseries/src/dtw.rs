@@ -13,12 +13,15 @@
 //! unit tests here pin the recursion's true value; the discrepancy is
 //! recorded in `EXPERIMENTS.md`.
 //!
-//! One rolling-row dynamic program computes every DTW distance in this
-//! crate: [`dtw`] runs it over the full matrix, [`dtw_banded`] over a
-//! Sakoe–Chiba band (optionally abandoning early against a threshold), and
+//! One dynamic program computes every DTW distance in this crate: [`dtw`]
+//! runs it over the full matrix, [`dtw_banded`] over a Sakoe–Chiba band
+//! (optionally abandoning early against a threshold), and
 //! [`crate::fastdtw::fast_dtw`] over its projected full-resolution window.
-//! Only the path-returning forms — [`dtw_with_path`] and FastDTW's coarse
-//! levels — keep the whole table, because backtracking needs it.
+//! It walks the matrix in anti-diagonal (wavefront) order, whose cells do
+//! not depend on each other, and gives the same bits as the textbook
+//! row-by-row recurrence. Only the path-returning forms — [`dtw_with_path`]
+//! and FastDTW's coarse levels — keep the whole table, because
+//! backtracking needs it.
 
 use crate::scratch::DtwScratch;
 use crate::window::{sakoe_chiba_range, SearchWindow};
@@ -31,8 +34,8 @@ pub fn point_cost(a: f64, b: f64) -> f64 {
 
 /// Exact DTW distance between two non-empty series (paper Eq. 6).
 ///
-/// Runs the one rolling-row dynamic program over the full `N × M`
-/// matrix, with its two `O(M)` rows taken from `scratch`.
+/// Runs the one dynamic program over the full `N × M` matrix, with its
+/// `O(N + M)` buffers taken from `scratch`.
 ///
 /// # Panics
 ///
@@ -50,7 +53,7 @@ pub fn point_cost(a: f64, b: f64) -> f64 {
 /// ```
 pub fn dtw(x: &[f64], y: &[f64], scratch: &mut DtwScratch) -> f64 {
     let m = y.len();
-    rolling_dp_x4::<false>(x, y, |_| (0, m - 1), f64::INFINITY, scratch).value()
+    wavefront_dp::<false>(x, y, |_| (0, m - 1), f64::INFINITY, scratch).value()
 }
 
 /// DTW distance restricted to a Sakoe–Chiba band of half-width `radius`,
@@ -82,8 +85,8 @@ pub fn dtw_banded(
     let (n, m) = (x.len(), y.len());
     let band = |i| sakoe_chiba_range(n, m, radius, i);
     match abandon_above {
-        Some(t) => rolling_dp_x4::<true>(x, y, band, t, scratch),
-        None => rolling_dp_x4::<false>(x, y, band, f64::INFINITY, scratch),
+        Some(t) => wavefront_dp::<true>(x, y, band, t, scratch),
+        None => wavefront_dp::<false>(x, y, band, f64::INFINITY, scratch),
     }
 }
 
@@ -102,7 +105,7 @@ pub(crate) fn dtw_windowed(
 ) -> f64 {
     assert_eq!(window.rows(), x.len(), "window row count must match x");
     assert_eq!(window.cols(), y.len(), "window column count must match y");
-    rolling_dp_x4::<false>(x, y, |i| window.range(i), f64::INFINITY, scratch).value()
+    wavefront_dp::<false>(x, y, |i| window.range(i), f64::INFINITY, scratch).value()
 }
 
 /// Exact DTW distance plus one optimal warp path.
@@ -254,47 +257,54 @@ impl BoundedDistance {
     }
 }
 
-/// The one rolling-row DTW dynamic program: [`dtw`] runs it over the full
-/// matrix, [`dtw_banded`] over the Sakoe–Chiba band and FastDTW's top
-/// level over its projected window.
+/// The one DTW dynamic program: [`dtw`] runs it over the full matrix,
+/// [`dtw_banded`] over the Sakoe–Chiba band and FastDTW's top level over
+/// its projected window.
 ///
-/// `range_at(i)` yields row `i`'s inclusive column range; ranges must obey
-/// the [`SearchWindow`] invariants. Rows are stored at absolute column
-/// indices in the scratch buffers; cells outside the previous row's range
-/// are treated as infinite via range checks, so stale buffer contents are
-/// never observed.
+/// `range_at(i)` yields row `i`'s inclusive column range. The ranges are
+/// written into `scratch` once per call, and they must be monotone (both
+/// edges non-decreasing in `i`), start at column 0 and end at the last
+/// column, as every [`SearchWindow`]'s are.
 ///
-/// With `ABANDON`, each row's minimum is checked against `abandon_above`,
-/// as [`dtw_banded`] documents; the result is then [`BoundedDistance::Exact`]
-/// or [`BoundedDistance::AboveThreshold`]. Without it, `abandon_above` is
-/// ignored, the result is always exact, and the row minima are dead code
-/// the compiler removes. That is why the switch is a const parameter and
-/// not a run-time `Option`: folding the minima slows the no-threshold
-/// banded kernel by about a quarter on 200-sample series.
+/// # Anti-diagonal order
 ///
-/// The row recurrence is unrolled four cells wide, so the cost lookups
-/// and the `up.min(diag)` half of the recurrence vectorise; only the short
-/// `left`-chain stays sequential.
+/// Cell `(i, j)` reads `up = (i−1, j)` and `left = (i, j−1)` from
+/// anti-diagonal `i + j − 1` and `diag = (i−1, j−1)` from `i + j − 2`, so
+/// the cells of one anti-diagonal do not depend on each other. The DP
+/// walks anti-diagonals and keeps the last three in scratch buffers
+/// indexed by row (slot `i + 1`; slot 0 is row −1), and each
+/// anti-diagonal is a plain slice loop the compiler vectorises. Its rows
+/// form an interval `[a, b]`, because `i + lo_i` and `i + hi_i` both grow
+/// strictly with `i`; each end moves by at most one row per anti-diagonal,
+/// and the interval is empty (`b = a − 1`) where consecutive rows' column
+/// ranges do not overlap, e.g. radius 0 with `M ≥ 2N`.
+///
+/// Instead of per-cell range guards, each anti-diagonal writes `+∞` into
+/// the slots of rows `a − 1` and `b + 1`. The next two anti-diagonals read
+/// only those slots and the interval itself, so every neighbour outside
+/// the window reads as `+∞`, and stale buffer contents are never read. The
+/// origin's `c + 0.0` comes from a `0.0` in the row −1 slot of
+/// anti-diagonal −2.
 ///
 /// # Agreement with the scalar recurrence
 ///
-/// The textbook per-cell value is `fl(c + min(up, diag, left))`; here the
-/// independent half is hoisted as `t = fl(c + min(up, diag))` and the
-/// cell becomes `min(t, fl(c + left))`. Rounded addition of a constant is
-/// monotone, so it commutes with `min`; `f64::min` ignores a `NaN`
-/// operand on both shapes; and the `+∞ + −∞` case that could break the
-/// exchange cannot occur because squared point costs and their running
-/// sums are never negative (so `−∞` never enters the table). Row minima
-/// are folded in the same left-to-right order as the scalar loop, making
-/// the early-abandon decision identical too. The two shapes therefore
-/// agree on every non-NaN result bit and on which results are NaN; when
-/// both are NaN, the NaN's sign bit may differ (an `∞ − ∞` NaN reaching
-/// the two `min` trees in a different order). `tests/kernel_oracle.rs`
-/// checks exactly this against the scalar DP.
+/// Every cell is `c + up.min(diag).min(left)`, the textbook recurrence with
+/// the same operands, so it agrees with a row-major scalar loop on every
+/// non-NaN bit and on which results are NaN; `tests/kernel_oracle.rs`
+/// checks exactly this.
 ///
-/// Rows that violate the band-monotonicity fast path fall back to fully
-/// guarded cells.
-fn rolling_dp_x4<const ABANDON: bool>(
+/// With `ABANDON`, each row's minimum is folded as its cells are computed.
+/// Row `i` is complete after anti-diagonal `i + hi_i`, rows complete in
+/// order, and the first completed row whose minimum exceeds `abandon_above`
+/// (strictly) ends the evaluation with [`BoundedDistance::AboveThreshold`]
+/// carrying that minimum. Point costs are never negative and `f64::min`
+/// ignores NaN, so a row minimum does not depend on the order of its
+/// cells: the decision and the bound are those of the row-major rule
+/// [`dtw_banded`] documents. Without `ABANDON`, `abandon_above` is ignored
+/// and no minimum is folded. That is why the switch is a const parameter
+/// and not a run-time `Option`: folding the minima slows the no-threshold
+/// banded kernel by about 30% on 200-sample series.
+fn wavefront_dp<const ABANDON: bool>(
     x: &[f64],
     y: &[f64],
     range_at: impl Fn(usize) -> (usize, usize),
@@ -305,129 +315,66 @@ fn rolling_dp_x4<const ABANDON: bool>(
         !x.is_empty() && !y.is_empty(),
         "dtw requires non-empty series"
     );
-    let m = y.len();
-    let (prev, curr) = scratch.rows(m);
-    let mut prev_range = (0usize, 0usize);
-    for (i, &xi) in x.iter().enumerate() {
-        let (lo, hi) = range_at(i);
-        let mut row_min = f64::INFINITY;
-        if i == 0 {
-            // First row: no previous row, plain left-chain.
-            for j in lo..=hi {
-                let c = point_cost(xi, y[j]);
-                let cell = if j == 0 {
-                    c + 0.0
-                } else if j > lo {
-                    c + f64::INFINITY.min(curr[j - 1])
-                } else {
-                    c + f64::INFINITY
-                };
-                curr[j] = cell;
-                row_min = row_min.min(cell);
-            }
-        } else {
-            let (plo, phi) = prev_range;
-            // Head cell: `left` is infinite; the explicit trailing
-            // `.min(f64::INFINITY)` keeps NaN handling identical to the
-            // scalar three-way min.
-            let c = point_cost(xi, y[lo]);
-            let up = if lo >= plo && lo <= phi {
-                prev[lo]
-            } else {
-                f64::INFINITY
-            };
-            let diag = if lo > plo && lo - 1 <= phi {
-                prev[lo - 1]
-            } else {
-                f64::INFINITY
-            };
-            let mut left = c + up.min(diag).min(f64::INFINITY);
-            curr[lo] = left;
-            row_min = row_min.min(left);
-
-            // Columns where both `prev[j]` and `prev[j-1]` are in the
-            // previous band — unguarded reads are safe there.
-            let a_lo = (lo + 1).max(plo + 1);
-            let a_hi = hi.min(phi);
-            let mut j = lo + 1;
-            // Guarded prefix; empty whenever band edges are monotone.
-            while j < a_lo && j <= hi {
-                let c = point_cost(xi, y[j]);
-                let up = if j >= plo && j <= phi {
-                    prev[j]
-                } else {
-                    f64::INFINITY
-                };
-                let diag = if j > plo && j - 1 <= phi {
-                    prev[j - 1]
-                } else {
-                    f64::INFINITY
-                };
-                let cell = c + up.min(diag).min(left);
-                curr[j] = cell;
-                row_min = row_min.min(cell);
-                left = cell;
-                j += 1;
-            }
-            // 4-wide main segment: costs and the up/diag half are
-            // independent across lanes; only the cheap left-chain is
-            // sequential.
-            while j + 3 <= a_hi {
-                let c0 = point_cost(xi, y[j]);
-                let c1 = point_cost(xi, y[j + 1]);
-                let c2 = point_cost(xi, y[j + 2]);
-                let c3 = point_cost(xi, y[j + 3]);
-                let t0 = c0 + prev[j].min(prev[j - 1]);
-                let t1 = c1 + prev[j + 1].min(prev[j]);
-                let t2 = c2 + prev[j + 2].min(prev[j + 1]);
-                let t3 = c3 + prev[j + 3].min(prev[j + 2]);
-                let e0 = t0.min(c0 + left);
-                let e1 = t1.min(c1 + e0);
-                let e2 = t2.min(c2 + e1);
-                let e3 = t3.min(c3 + e2);
-                curr[j] = e0;
-                curr[j + 1] = e1;
-                curr[j + 2] = e2;
-                curr[j + 3] = e3;
-                row_min = row_min.min(e0).min(e1).min(e2).min(e3);
-                left = e3;
-                j += 4;
-            }
-            while j <= a_hi {
-                let c = point_cost(xi, y[j]);
-                let cell = (c + prev[j].min(prev[j - 1])).min(c + left);
-                curr[j] = cell;
-                row_min = row_min.min(cell);
-                left = cell;
-                j += 1;
-            }
-            // One column past the previous band: `up` left the band,
-            // `diag = prev[phi]` is still inside it.
-            if j <= hi && j == phi + 1 {
-                let c = point_cost(xi, y[j]);
-                let cell = c + f64::INFINITY.min(prev[j - 1]).min(left);
-                curr[j] = cell;
-                row_min = row_min.min(cell);
-                left = cell;
-                j += 1;
-            }
-            // Tail beyond the previous band: pure left-chain.
-            while j <= hi {
-                let c = point_cost(xi, y[j]);
-                let cell = c + f64::INFINITY.min(left);
-                curr[j] = cell;
-                row_min = row_min.min(cell);
-                left = cell;
-                j += 1;
-            }
-        }
-        if ABANDON && row_min > abandon_above {
-            return BoundedDistance::AboveThreshold(row_min);
-        }
-        std::mem::swap(prev, curr);
-        prev_range = (lo, hi);
+    let (n, m) = (x.len(), y.len());
+    let DtwScratch {
+        ranges,
+        diagonals,
+        row_min,
+        ..
+    } = scratch;
+    ranges.clear();
+    ranges.extend((0..n).map(range_at));
+    if ABANDON {
+        row_min.clear();
+        row_min.resize(n, f64::INFINITY);
     }
-    BoundedDistance::Exact(prev[m - 1])
+    let slots = n + 2;
+    if diagonals.len() < 3 * slots {
+        diagonals.resize(3 * slots, f64::INFINITY);
+    }
+    let (mut d2, rest) = diagonals[..3 * slots].split_at_mut(slots);
+    let (mut d1, mut d0) = rest.split_at_mut(slots);
+    // Anti-diagonals −2 and −1: the origin's 0.0, and rows −1 and 0
+    // outside the window.
+    d2[0] = 0.0;
+    d1[0] = f64::INFINITY;
+    d1[1] = f64::INFINITY;
+
+    let (mut a, mut b, mut next_row) = (0usize, 0usize, 0usize);
+    for d in 0..n + m - 1 {
+        if a + ranges[a].1 < d {
+            a += 1;
+        }
+        if b + 1 < n && b + 1 + ranges[b + 1].0 <= d {
+            b += 1;
+        }
+        let len = b + 1 - a;
+        let xs = &x[a..a + len];
+        // Rows a..=b meet columns d − a down to d − b.
+        let ys = &y[d + 1 - a - len..d + 1 - a];
+        let up = &d1[a..a + len];
+        let left = &d1[a + 1..a + 1 + len];
+        let diag = &d2[a..a + len];
+        let out = &mut d0[a + 1..a + 1 + len];
+        for k in 0..len {
+            out[k] = point_cost(xs[k], ys[len - 1 - k]) + up[k].min(diag[k]).min(left[k]);
+        }
+        if ABANDON {
+            for (r, &cell) in row_min[a..a + len].iter_mut().zip(out.iter()) {
+                *r = r.min(cell);
+            }
+        }
+        d0[a] = f64::INFINITY;
+        d0[a + len + 1] = f64::INFINITY;
+        if ABANDON && next_row + ranges[next_row].1 == d {
+            if row_min[next_row] > abandon_above {
+                return BoundedDistance::AboveThreshold(row_min[next_row]);
+            }
+            next_row += 1;
+        }
+        (d2, d1, d0) = (d1, d0, d2);
+    }
+    BoundedDistance::Exact(d1[n])
 }
 
 /// Validates that `path` is a legal warp path for series of lengths `n`

@@ -7,8 +7,8 @@
 //! 2. **Recurse** on the coarse series to find a warp path.
 //! 3. **Project** the coarse path to full resolution and **expand** it by
 //!    `radius` cells in every direction.
-//! 4. Run the rolling-row dynamic program of [`crate::dtw`] inside the
-//!    expanded window.
+//! 4. Run the dynamic program of [`crate::dtw`] inside the expanded
+//!    window.
 //!
 //! With radius 1 the approximation error is typically below 1% — the
 //! figure the paper quotes when arguing FastDTW is accurate enough for
@@ -34,7 +34,7 @@ fn min_ts_size(radius: usize) -> usize {
 /// [`crate::dtw::dtw`], so values are directly comparable.
 ///
 /// The full-resolution level — which dominates both time and memory —
-/// runs the crate's one rolling-row DP inside the projected window, out of
+/// runs the crate's one DP inside the projected window, out of
 /// `scratch`, and the top-level coarsened copies of both series live in
 /// pooled scratch buffers. The coarser levels find their warp paths with
 /// [`fast_dtw_with_path`] (they must keep DP tables to backtrack), so the

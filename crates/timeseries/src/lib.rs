@@ -9,9 +9,11 @@
 //!   Eq. 7) and the min–max normalisation of pairwise distances (Eq. 8).
 //! * [`distance`] — Lp norms (Eq. 2), Euclidean, Manhattan, Chebyshev.
 //! * [`dtw`] — Dynamic Time Warping with squared point costs (Eq. 3–6):
-//!   one rolling-row dynamic program serves the exact, Sakoe–Chiba banded
-//!   and FastDTW distances; warp-path extraction keeps its own table.
-//! * [`window`] — sparse search windows for constrained DTW.
+//!   one anti-diagonal (wavefront) dynamic program serves the exact,
+//!   Sakoe–Chiba banded and FastDTW distances; warp-path extraction keeps
+//!   its own table.
+//! * [`window`] — sparse search windows for constrained DTW and the
+//!   integer Sakoe–Chiba band edges.
 //! * [`fastdtw`] — the linear-time FastDTW approximation
 //!   (Salvador & Chan, reference [24] of the paper) used by the detector.
 //! * [`scratch`] — reusable working memory ([`DtwScratch`]) that every

@@ -3,11 +3,12 @@
 //! Every distance kernel in this crate — [`crate::dtw::dtw`],
 //! [`crate::dtw::dtw_banded`], [`crate::fastdtw::fast_dtw`] and
 //! [`crate::lowerbound::lb_keogh_banded`] — takes its working memory from
-//! a [`DtwScratch`]: two rolling DP rows, monotonic deques and buffers for
-//! the LB_Keogh envelope, and (for FastDTW) buffers holding the coarsened
-//! series. A caller that measures many pairs — the comparison phase visits
-//! `n·(n−1)/2` of them per detection period — allocates once per worker
-//! thread instead of once per pair.
+//! a [`DtwScratch`]: the DP's per-row column ranges, its last three
+//! anti-diagonals and the per-row minima of its abandon rule; monotonic
+//! deques and buffers for the LB_Keogh envelope; and (for FastDTW)
+//! buffers holding the coarsened series. A caller that measures many
+//! pairs — the comparison phase visits `n·(n−1)/2` of them per detection
+//! period — allocates once per worker thread instead of once per pair.
 //!
 //! # Lifetime rules
 //!
@@ -16,9 +17,9 @@
 //!   interleaving calls with mismatched lengths is fine.
 //! * Kernels leave no observable state behind: a call returns the same
 //!   bits on a fresh scratch as on one reused for any earlier problem.
-//!   (Internally the rolling rows are *not* cleared between calls — the
-//!   dynamic program writes every cell it later reads — which is exactly
-//!   why reuse is free.)
+//!   (Internally the anti-diagonal buffers are *not* cleared between
+//!   calls — the dynamic program writes every slot it later reads, its
+//!   `+∞` sentinels included — which is exactly why reuse is free.)
 //! * A scratch is plain owned data (`Send`), but not shared: give each
 //!   worker thread its own (see `vp-par`'s per-worker `init`), never one
 //!   scratch to two threads.
@@ -29,10 +30,12 @@ use std::collections::VecDeque;
 /// the lifetime rules.
 #[derive(Debug, Clone, Default)]
 pub struct DtwScratch {
-    /// Previous rolling DP row.
-    pub(crate) prev: Vec<f64>,
-    /// Current rolling DP row.
-    pub(crate) curr: Vec<f64>,
+    /// Per-row inclusive column ranges of the DP's window.
+    pub(crate) ranges: Vec<(usize, usize)>,
+    /// The DP's last three anti-diagonals, `N + 2` row slots each.
+    pub(crate) diagonals: Vec<f64>,
+    /// Per-row minima of the DP's early-abandon rule.
+    pub(crate) row_min: Vec<f64>,
     /// Monotonic deque of candidate minima for the LB_Keogh envelope.
     pub(crate) deq_min: VecDeque<usize>,
     /// Monotonic deque of candidate maxima for the LB_Keogh envelope.
@@ -57,8 +60,9 @@ impl DtwScratch {
     /// first calls do not grow buffers either.
     pub fn with_capacity(max_len: usize) -> Self {
         DtwScratch {
-            prev: Vec::with_capacity(max_len + 1),
-            curr: Vec::with_capacity(max_len + 1),
+            ranges: Vec::with_capacity(max_len),
+            diagonals: Vec::with_capacity(3 * (max_len + 2)),
+            row_min: Vec::with_capacity(max_len),
             deq_min: VecDeque::with_capacity(max_len),
             deq_max: VecDeque::with_capacity(max_len),
             coarse_x: Vec::with_capacity(max_len / 2 + 1),
@@ -66,19 +70,6 @@ impl DtwScratch {
             env_hi: Vec::with_capacity(max_len),
             env_lo: Vec::with_capacity(max_len),
         }
-    }
-
-    /// Ensures the rolling rows can hold `len` cells each and returns
-    /// them. Existing contents are unspecified — callers must write every
-    /// cell they read (all kernels here do).
-    pub(crate) fn rows(&mut self, len: usize) -> (&mut Vec<f64>, &mut Vec<f64>) {
-        if self.prev.len() < len {
-            self.prev.resize(len, f64::INFINITY);
-        }
-        if self.curr.len() < len {
-            self.curr.resize(len, f64::INFINITY);
-        }
-        (&mut self.prev, &mut self.curr)
     }
 }
 
@@ -133,19 +124,30 @@ mod tests {
         let x = wave(300, 0.0);
         let y = wave(280, 0.4);
         let _ = dtw(&x, &y, &mut scratch);
-        let cap = scratch.prev.capacity();
-        assert!(cap >= 280);
+        // Three anti-diagonals of N + 2 row slots and one range per row.
+        let cap = scratch.diagonals.capacity();
+        assert!(cap >= 3 * 302);
+        assert!(scratch.ranges.capacity() >= 300);
         // A smaller problem must not shrink the buffers.
         let _ = dtw(&wave(5, 0.0), &wave(4, 0.1), &mut scratch);
-        assert!(scratch.prev.capacity() >= cap);
+        assert!(scratch.diagonals.capacity() >= cap);
     }
 
     #[test]
     fn with_capacity_avoids_growth() {
         let mut scratch = DtwScratch::with_capacity(256);
-        let before = scratch.prev.capacity();
-        let _ = dtw(&wave(256, 0.0), &wave(256, 0.3), &mut scratch);
-        assert_eq!(scratch.prev.capacity(), before);
+        let capacities = |s: &DtwScratch| {
+            [
+                s.ranges.capacity(),
+                s.diagonals.capacity(),
+                s.row_min.capacity(),
+            ]
+        };
+        let before = capacities(&scratch);
+        let (x, y) = (wave(256, 0.0), wave(256, 0.3));
+        let _ = dtw(&x, &y, &mut scratch);
+        let _ = dtw_banded(&x, &y, 5, Some(0.0), &mut scratch);
+        assert_eq!(capacities(&scratch), before);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A [`SearchWindow`] records, for each row `i` of the DTW cost matrix
 //! (an element of the first series), the inclusive column range of the
-//! second series that the dynamic program is allowed to visit. Windows are
-//! how both the Sakoe–Chiba band and FastDTW's projected low-resolution
-//! path constrain the quadratic search space.
+//! second series that the dynamic program is allowed to visit: FastDTW's
+//! projected low-resolution path constrains the quadratic search space
+//! this way. The Sakoe–Chiba band is never materialised;
+//! [`sakoe_chiba_range`] computes any row's range on the fly.
 
 /// An inclusive column interval `[lo, hi]` per row of the DTW matrix.
 ///
@@ -48,24 +49,6 @@ impl SearchWindow {
             cols,
             ranges: vec![(0, cols - 1); rows],
         }
-    }
-
-    /// The Sakoe–Chiba band of half-width `radius` around the (resampled)
-    /// diagonal.
-    ///
-    /// Row `i`'s range is exactly [`sakoe_chiba_range`]`(rows, cols,
-    /// radius, i)`, so the banded kernel ([`crate::dtw::dtw_banded`])
-    /// visits the same cells as a DP over this window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn sakoe_chiba(rows: usize, cols: usize, radius: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "window dimensions must be positive");
-        let ranges = (0..rows)
-            .map(|i| sakoe_chiba_range(rows, cols, radius, i))
-            .collect();
-        SearchWindow { cols, ranges }
     }
 
     /// Builds a window from per-row inclusive ranges.
@@ -221,11 +204,18 @@ impl SearchWindow {
 /// Row `i`'s inclusive column range in the Sakoe–Chiba band of half-width
 /// `radius` over a `rows × cols` DTW matrix.
 ///
-/// The band is centred on the length-rescaled diagonal, and the corner
-/// rows are anchored so `(0, 0)` and `(rows−1, cols−1)` are always
-/// inside. [`SearchWindow::sakoe_chiba`] materialises these ranges; the
-/// banded kernel and LB_Keogh compute them on the fly from this function,
-/// which is what keeps all three cell-for-cell identical.
+/// The band is centred on the length-rescaled diagonal
+/// `q = i·(cols−1)/(rows−1)`: the range is `[⌈q⌉ − radius, ⌊q⌋ + radius]`,
+/// saturating at both ends and clamped to the matrix, and the corner rows
+/// are anchored so `(0, 0)` and `(rows−1, cols−1)` are always inside. The
+/// edges are exact integer arithmetic. Whenever `rows·cols < 2^52` they
+/// equal the `f64` form `ceil(q − radius)`, `floor(q + radius)` on every
+/// row, because neither the rounded quotient nor its rounded sum with the
+/// radius can land on or cross an integer there. The banded kernel,
+/// LB_Keogh and the sketch bound all take their band from this function,
+/// which is what keeps them cell-for-cell consistent. The ranges are
+/// monotone in `i`; with a narrow radius and `cols ≥ 2·rows` consecutive
+/// rows need not touch.
 ///
 /// # Panics
 ///
@@ -233,17 +223,22 @@ impl SearchWindow {
 pub fn sakoe_chiba_range(rows: usize, cols: usize, radius: usize, i: usize) -> (usize, usize) {
     assert!(rows > 0 && cols > 0, "window dimensions must be positive");
     assert!(i < rows, "row index out of bounds");
-    // Diagonal position scaled for unequal lengths.
-    let centre = if rows == 1 {
-        0.0
-    } else {
-        i as f64 * (cols - 1) as f64 / (rows - 1) as f64
+    let (floor, ceil) = match rows - 1 {
+        0 => (0, 0),
+        den => {
+            let (q, rem) = match i.checked_mul(cols - 1) {
+                Some(num) => (num / den, num % den),
+                // Past `usize::MAX` cells: the same quotient in 128 bits.
+                None => {
+                    let (num, den) = (i as u128 * (cols - 1) as u128, den as u128);
+                    ((num / den) as usize, (num % den) as usize)
+                }
+            };
+            (q, q + usize::from(rem != 0))
+        }
     };
-    let lo = (centre - radius as f64).ceil().max(0.0) as usize;
-    let hi = ((centre + radius as f64).floor() as usize).min(cols - 1);
-    let (mut lo, mut hi) = (lo.min(cols - 1), hi.max(lo.min(cols - 1)));
-    // Band construction is monotone and diagonal-connected by design,
-    // but anchor the corners defensively.
+    let mut lo = ceil.saturating_sub(radius).min(cols - 1);
+    let mut hi = floor.saturating_add(radius).min(cols - 1).max(lo);
     if i == 0 {
         lo = 0;
     }
@@ -268,26 +263,37 @@ mod tests {
 
     #[test]
     fn sakoe_chiba_square() {
-        let w = SearchWindow::sakoe_chiba(5, 5, 1);
-        assert_eq!(w.range(0), (0, 1));
-        assert_eq!(w.range(2), (1, 3));
-        assert_eq!(w.range(4), (3, 4));
-        assert!(w.cell_count() < 25);
+        let band = |i| sakoe_chiba_range(5, 5, 1, i);
+        assert_eq!(band(0), (0, 1));
+        assert_eq!(band(2), (1, 3));
+        assert_eq!(band(4), (3, 4));
+        let cells: usize = (0..5).map(|i| band(i).1 - band(i).0 + 1).sum();
+        assert!(cells < 25);
     }
 
     #[test]
     fn sakoe_chiba_rectangular_reaches_corners() {
-        let w = SearchWindow::sakoe_chiba(5, 9, 1);
-        assert!(w.contains(0, 0));
-        assert!(w.contains(4, 8));
+        assert_eq!(sakoe_chiba_range(5, 9, 1, 0).0, 0);
+        assert_eq!(sakoe_chiba_range(5, 9, 1, 4).1, 8);
     }
 
     #[test]
     fn sakoe_chiba_zero_radius_is_diagonalish() {
-        let w = SearchWindow::sakoe_chiba(4, 4, 0);
         for i in 0..4 {
-            assert!(w.contains(i, i));
+            let (lo, hi) = sakoe_chiba_range(4, 4, 0, i);
+            assert!(lo <= i && i <= hi, "({i},{i}) outside ({lo},{hi})");
         }
+    }
+
+    #[test]
+    fn sakoe_chiba_edges_past_usize_max_cells() {
+        // `i·(cols−1)` overflows `usize`; the diagonal is still exact.
+        let big = 1usize << (usize::BITS - 8);
+        assert_eq!(sakoe_chiba_range(big, big, 0, big - 7), (big - 7, big - 7));
+        assert_eq!(
+            sakoe_chiba_range(big, 2 * big - 1, 1, big - 3),
+            (2 * big - 7, 2 * big - 5)
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property tests for the sub-quadratic comparison cascade: the
 //! cross-window result cache, the sketch triage lower bound, and the
-//! 4-lane-unrolled kernels. The contracts under test are the ones
-//! DESIGN.md §14 pins:
+//! production kernels (the anti-diagonal DP and the clamped-gap LB_Keogh).
+//! The contracts under test are the ones DESIGN.md §14 pins:
 //!
 //! 1. Cached sweeps are **bit-identical** to cache-off sweeps, for any
 //!    cache state a sliding-window workload can produce.
 //! 2. The sketch lower bound is **admissible**: it never exceeds the
 //!    banded DTW distance it gates.
-//! 3. The unrolled kernels match the scalar references in
+//! 3. The production kernels match the scalar references in
 //!    `tests/oracle/mod.rs` **bit for bit** on these cases, including on
 //!    non-finite inputs. `tests/kernel_oracle.rs` runs the wider
 //!    adversarial sweep, where only the NaN's sign may differ.
@@ -128,6 +128,10 @@ fn sketch_lower_bound_is_admissible() {
     }
 }
 
+/// The production kernels — the anti-diagonal DP (banded with and without
+/// an abandon threshold, and over the full matrix) and LB_Keogh — against
+/// the scalar references on RSSI-like series. The name predates the
+/// wavefront DP, which replaced a 4-lane unrolled one.
 #[test]
 fn unrolled_kernels_match_scalar_bit_for_bit() {
     let mut scratch = DtwScratch::new();
@@ -155,21 +159,24 @@ fn unrolled_kernels_match_scalar_bit_for_bit() {
         let lb_scalar = scalar_lb_keogh(&x, &y, radius);
         let lb_x4 = lb_keogh_banded(&x, &y, radius, &mut scratch);
         assert_eq!(lb_scalar.to_bits(), lb_x4.to_bits(), "case {case}");
-        // The same unrolled DP over the full matrix.
+        // The same DP over the full matrix.
         let e_scalar = scalar_exact(&x, &y);
         let e_x4 = dtw(&x, &y, &mut scratch);
         assert_eq!(e_scalar.to_bits(), e_x4.to_bits(), "case {case}");
     }
 }
 
+/// The banded DP and LB_Keogh against the scalar references on raw bit
+/// patterns; named, like the test above, for the kernel the wavefront DP
+/// replaced.
 #[test]
 fn unrolled_kernels_match_scalar_on_arbitrary_bit_patterns() {
     let mut scratch = DtwScratch::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::seed_from_u64(case);
         // Hostile inputs: every NaN payload, infinities, subnormals. The
-        // unrolled kernels must still track the scalar references bit for
-        // bit (NaN vs NaN compares equal through to_bits).
+        // kernels must still track the scalar references bit for bit (NaN
+        // vs NaN compares equal through to_bits).
         let x = raw_bits(&mut rng, 40);
         let y = raw_bits(&mut rng, 40);
         let radius = rng.range_usize(0..6);

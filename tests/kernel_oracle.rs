@@ -1,10 +1,11 @@
 //! The distance kernels against their scalar references.
 //!
-//! `vp-timeseries` computes every DTW distance with one 4-lane rolling-row
-//! dynamic program and every LB_Keogh bound with one clamped-gap form
-//! (DESIGN.md §14). The textbook forms — the scalar rolling DP with its
-//! early-abandon rule and the per-row branch LB_Keogh — are test-only
-//! oracles in `tests/oracle/mod.rs`. This file checks, over an
+//! `vp-timeseries` computes every DTW distance with one anti-diagonal
+//! (wavefront) dynamic program over integer Sakoe–Chiba band edges, and
+//! every LB_Keogh bound with one clamped-gap form (DESIGN.md §14). The
+//! textbook forms — the row-major scalar DP with its early-abandon rule,
+//! the per-row branch LB_Keogh and the `f64` band edges both run on — are
+//! test-only oracles in `tests/oracle/mod.rs`. This file checks, over an
 //! adversarial seeded sweep and fixed shapes:
 //!
 //! 1. `dtw_banded`, with and without an abandon threshold, against the
@@ -13,22 +14,29 @@
 //! 2. `dtw` against the scalar DP over the full matrix;
 //! 3. `lb_keogh_banded` against the scalar LB_Keogh;
 //! 4. `fast_dtw` against `fast_dtw_with_path(..).0`, whose top level runs
-//!    the independent path-keeping DP.
+//!    the independent path-keeping DP;
+//! 5. `sakoe_chiba_range` against the `f64` band edges on every row of a
+//!    grid of shapes and radii;
+//! 6. the shapes the wavefront order makes special: empty anti-diagonals,
+//!    one row or one column, an unbounded radius, an abandon decided in
+//!    the first or the last row, and a scratch dirtied by a larger
+//!    problem.
 //!
 //! The contract is every non-NaN bit, and NaN exactly where the oracle
 //! gives NaN. The NaN's sign bit is not part of it: an `∞ − ∞` NaN can
-//! reach the two `min` trees in a different order, and the scalar and
-//! 4-lane kernels then return NaNs of opposite sign. The RSSI-like and
-//! raw-bit cases run against the same oracles in
-//! `tests/comparison_cascade.rs` and `tests/pipeline_properties.rs`.
+//! meet another NaN in a different order, and the two sides then return
+//! NaNs of opposite sign. The RSSI-like and raw-bit cases run against the
+//! same oracles in `tests/comparison_cascade.rs` and
+//! `tests/pipeline_properties.rs`.
 
 mod oracle;
 
-use oracle::{scalar_banded, scalar_exact, scalar_lb_keogh};
+use oracle::{float_band, scalar_banded, scalar_exact, scalar_lb_keogh};
 use vp_stats::rng::SplitMix64;
 use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
 use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
 use vp_timeseries::lowerbound::lb_keogh_banded;
+use vp_timeseries::window::sakoe_chiba_range;
 use vp_timeseries::DtwScratch;
 
 /// Seeded cases in the adversarial sweep.
@@ -285,5 +293,128 @@ fn non_finite_samples_match_the_oracles() {
         check_pair(&clean, &all_nan, 3, &[1.0], &mut scratch, "all NaN");
         check_pair(&all_nan, &clean, 3, &[1.0], &mut scratch, "all NaN");
         check_exact_and_fast(&clean, &all_nan, 1, &mut scratch, "all NaN");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Band edges and the shapes the wavefront order makes special.
+// ---------------------------------------------------------------------
+
+#[test]
+fn band_edges_match_the_float_form() {
+    // Short and skewed widths, the comparator's 186–201-sample windows,
+    // and widths past every row count.
+    let widths = (1..=12)
+        .chain(186..=201)
+        .chain([31, 64, 97, 255, 260, 261, 400, 1000]);
+    let mut rows_checked = 0usize;
+    for m in widths {
+        for n in 1..=260usize {
+            for radius in [0, 1, 2, 3, 5, 10, 11, 40, n + m, usize::MAX / 2, usize::MAX] {
+                let mut prev = (0, 0);
+                for i in 0..n {
+                    let band = sakoe_chiba_range(n, m, radius, i);
+                    assert_eq!(
+                        band,
+                        float_band(n, m, radius, i),
+                        "row {i} of {n}x{m}, radius {radius}"
+                    );
+                    // The DP's anti-diagonal intervals need monotone edges.
+                    assert!(
+                        band.0 >= prev.0 && band.1 >= prev.1,
+                        "row {i} of {n}x{m}, radius {radius}: {band:?} after {prev:?}"
+                    );
+                    prev = band;
+                }
+                rows_checked += n;
+            }
+        }
+    }
+    assert_eq!(rows_checked, 36 * 11 * (260 * 261 / 2));
+}
+
+/// Checks `dtw_banded` at `radius` on a reused and on a fresh scratch
+/// against the oracle, with and without an abandon threshold.
+fn check_banded(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch, what: &str) {
+    let d = scalar_banded(x, y, radius, None).value();
+    let thresholds = [0.0, d / 2.0, d, d * 2.0 + 1.0];
+    check_pair(x, y, radius, &thresholds, scratch, what);
+    check_pair(x, y, radius, &thresholds, &mut DtwScratch::new(), what);
+}
+
+#[test]
+fn wavefront_shapes_match_the_oracles() {
+    let mut rng = SplitMix64::seed_from_u64(5);
+    let mut scratch = DtwScratch::new();
+    // Dirty the scratch with a larger problem first. Identical series make
+    // every stale cell 0.0, which any missing `+∞` would let through.
+    let big = uniform(&mut rng, 300, -5.0, 5.0);
+    assert_eq!(dtw(&big, &big, &mut scratch), 0.0);
+    assert_eq!(
+        dtw_banded(&big, &big, 7, Some(1.0), &mut scratch).value(),
+        0.0
+    );
+
+    // Empty anti-diagonals: radius 0 with M ≥ 2N or N ≥ 2M leaves
+    // consecutive rows whose column ranges do not overlap.
+    for (n, m) in [(2, 5), (3, 6), (5, 10), (5, 23), (3, 200), (40, 97)] {
+        let x = uniform(&mut rng, n, -5.0, 5.0);
+        let y = uniform(&mut rng, m, -5.0, 5.0);
+        for radius in [0, 1] {
+            let what = format!("gap {n}x{m} r={radius}");
+            check_banded(&x, &y, radius, &mut scratch, &what);
+            check_banded(&y, &x, radius, &mut scratch, &format!("{what}, swapped"));
+        }
+    }
+
+    // One row, one column, or both.
+    for (n, m) in [(1, 1), (1, 2), (2, 1), (1, 200), (200, 1)] {
+        let x = uniform(&mut rng, n, -5.0, 5.0);
+        let y = uniform(&mut rng, m, -5.0, 5.0);
+        for radius in [0, 1, 3, usize::MAX] {
+            let what = format!("line {n}x{m} r={radius}");
+            check_banded(&x, &y, radius, &mut scratch, &what);
+        }
+        check_exact_and_fast(&x, &y, 1, &mut scratch, &format!("line {n}x{m}"));
+    }
+
+    // An unbounded radius is the full matrix: a `+∞` band fraction
+    // reaches the kernel as `usize::MAX`.
+    for (n, m) in [(7, 7), (31, 40), (190, 201)] {
+        let x = uniform(&mut rng, n, -5.0, 5.0);
+        let y = uniform(&mut rng, m, -5.0, 5.0);
+        let what = format!("unbounded {n}x{m}");
+        check_banded(&x, &y, usize::MAX, &mut scratch, &what);
+        let full = dtw(&x, &y, &mut scratch);
+        let banded = dtw_banded(&x, &y, usize::MAX, None, &mut scratch);
+        assert_eq!(banded, BoundedDistance::Exact(full), "{what}");
+        assert_same(full, scalar_exact(&x, &y), &what);
+    }
+
+    // An abandon decided in the first row: every row-0 cell costs ≥ 100.
+    // And one decided in the last row: `x` resamples `y` (`N ≥ M`, so the
+    // resampled columns step by 0 or 1 inside the band) except for a far
+    // last sample, so every earlier row holds a zero-cost path cell.
+    for (n, m, radius) in [(9, 9, 2), (120, 111, 6), (200, 60, 10)] {
+        let y = uniform(&mut rng, m, -5.0, 5.0);
+        let far = uniform(&mut rng, n, 15.0, 20.0);
+        let what = format!("first-row abandon {n}x{m}");
+        let first = dtw_banded(&far, &y, radius, Some(1.0), &mut scratch);
+        assert!(
+            first.is_pruned() && first.value() >= 100.0,
+            "{what}: {first:?}"
+        );
+        assert_same_bounded(first, scalar_banded(&far, &y, radius, Some(1.0)), &what);
+
+        let mut x: Vec<f64> = (0..n).map(|i| y[i * (m - 1) / (n - 1)]).collect();
+        x[n - 1] = 1000.0;
+        let what = format!("last-row abandon {n}x{m}");
+        let last = dtw_banded(&x, &y, radius, Some(1.0), &mut scratch);
+        assert!(
+            last.is_pruned() && last.value() >= 990.0 * 990.0,
+            "{what}: {last:?}"
+        );
+        assert_same_bounded(last, scalar_banded(&x, &y, radius, Some(1.0)), &what);
+        check_banded(&x, &y, radius, &mut scratch, &what);
     }
 }

@@ -1,19 +1,43 @@
 //! Test-only scalar references for the distance kernels.
 //!
-//! `vp-timeseries` computes every DTW distance with one 4-lane rolling-row
-//! dynamic program and every LB_Keogh bound with one clamped-gap form
-//! (DESIGN.md §14). This module keeps the textbook forms — the scalar
-//! rolling DP with its early-abandon rule and the per-row branch
-//! LB_Keogh — with their own buffers.
+//! `vp-timeseries` computes every DTW distance with one anti-diagonal
+//! (wavefront) dynamic program over integer band edges, and every LB_Keogh
+//! bound with one clamped-gap form (DESIGN.md §14). This module keeps the
+//! textbook forms — the row-major scalar DP with its early-abandon rule,
+//! the per-row branch LB_Keogh, and the `f64` Sakoe–Chiba band edges both
+//! of them run on — with their own buffers.
 //!
 //! `tests/kernel_oracle.rs` runs the adversarial sweep against them;
 //! `tests/comparison_cascade.rs` and `tests/pipeline_properties.rs` run
 //! their RSSI-like and raw-bit cases against them.
 
 use vp_timeseries::dtw::{point_cost, BoundedDistance};
-use vp_timeseries::window::sakoe_chiba_range;
 
-/// The scalar rolling-row windowed DP: per cell
+/// Row `i`'s Sakoe–Chiba range in `f64`: `ceil(q − radius)` to
+/// `floor(q + radius)` around `q = i·(cols−1)/(rows−1)`, clamped, with the
+/// corner rows anchored. `vp_timeseries::window::sakoe_chiba_range`
+/// computes the same edges in integers.
+pub fn float_band(rows: usize, cols: usize, radius: usize, i: usize) -> (usize, usize) {
+    assert!(rows > 0 && cols > 0, "window dimensions must be positive");
+    assert!(i < rows, "row index out of bounds");
+    let centre = if rows == 1 {
+        0.0
+    } else {
+        i as f64 * (cols - 1) as f64 / (rows - 1) as f64
+    };
+    let lo = (centre - radius as f64).ceil().max(0.0) as usize;
+    let hi = ((centre + radius as f64).floor() as usize).min(cols - 1);
+    let (mut lo, mut hi) = (lo.min(cols - 1), hi.max(lo.min(cols - 1)));
+    if i == 0 {
+        lo = 0;
+    }
+    if i == rows - 1 {
+        hi = cols - 1;
+    }
+    (lo, hi)
+}
+
+/// The scalar row-major windowed DP: per cell
 /// `c + up.min(diag).min(left)`, row minima folded left to right, and the
 /// row abandoned once its minimum exceeds the threshold (strictly).
 fn scalar_dp(
@@ -74,7 +98,7 @@ pub fn scalar_banded(
     abandon_above: Option<f64>,
 ) -> BoundedDistance {
     let (n, m) = (x.len(), y.len());
-    scalar_dp(x, y, |i| sakoe_chiba_range(n, m, radius, i), abandon_above)
+    scalar_dp(x, y, |i| float_band(n, m, radius, i), abandon_above)
 }
 
 /// The scalar DP over the full matrix.
@@ -96,7 +120,7 @@ pub fn scalar_lb_keogh(x: &[f64], y: &[f64], radius: usize) -> f64 {
     let mut sum = 0.0;
     let mut next = 0usize; // first column not yet pushed into the deques
     for (i, &xi) in x.iter().enumerate() {
-        let (lo, hi) = sakoe_chiba_range(n, m, radius, i);
+        let (lo, hi) = float_band(n, m, radius, i);
         // Admit new columns on the right (hi is non-decreasing).
         while next <= hi {
             while deq_max.back().is_some_and(|&b| y[b] <= y[next]) {
