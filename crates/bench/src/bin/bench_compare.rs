@@ -6,20 +6,16 @@
 //! Writes `results/BENCH_compare.json` with per-size wall-clock medians,
 //! the parallel speedup, and a sliding-window section reporting the
 //! cross-window cache's steady-state hit rate, the sketch triage
-//! rejection rate and the speedup over the exact sweep; plus
-//! `results/BENCH_runtime.json` with the streaming runtime's sustained
-//! ingest throughput (beacons/sec) at a fixed, deterministic
-//! deadline-miss rate. Thread count follows `VP_NUM_THREADS` (default:
-//! all cores).
+//! rejection rate and the speedup over the exact sweep. Thread count
+//! follows `VP_NUM_THREADS` (default: all cores).
 //!
 //! `--smoke` runs the CI correctness gate instead: a small sliding
 //! sweep asserting cascade results equal the exact sweep (no files
 //! written).
 //!
 //! Also writes `results/BENCH_obs.json` with the observability layer's
-//! overhead: build with `-p vp-bench --features obs` for the
-//! instrumented numbers (no sink / memory sink / JSON-lines sink) and
-//! without the feature for the compiled-out baseline.
+//! overhead: one compare + confirm round with no sink, an in-memory sink
+//! and a JSON-lines sink installed.
 
 use std::time::Instant;
 
@@ -27,8 +23,6 @@ use voiceprint::comparator::{compare, compare_sequential, compare_with_cache, Co
 use voiceprint::confirm::confirm;
 use voiceprint::threshold::ThresholdPolicy;
 use voiceprint::ComparisonCache;
-use vp_fault::Beacon;
-use vp_runtime::{DeadlinePolicy, RuntimeConfig, StreamingRuntime};
 
 fn neighbourhood(n: usize, samples: usize) -> Vec<(u64, Vec<f64>)> {
     (0..n as u64)
@@ -81,201 +75,105 @@ fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-/// One timed streaming run: `n` identities beaconing at 10 Hz for
-/// `windows` full 20 s detection windows, fed in arrival order through a
-/// fresh [`StreamingRuntime`]. Returns (elapsed seconds, beacons fed,
-/// deadline misses, rounds run).
-fn feed_streaming(n: usize, windows: usize, deadline: DeadlinePolicy) -> (f64, u64, u64, u64) {
-    let mut config = RuntimeConfig::paper_default(ThresholdPolicy::paper_simulation());
-    config.deadline = deadline;
-    // Size the queue above one full window's volume so the measurement
-    // isolates ingest + sweep cost from overload shedding.
-    config.queue_capacity = n * windows * 220;
-    let mut rt = StreamingRuntime::new(config).expect("valid bench config");
-    let duration_s = windows as f64 * 20.0;
-    let ticks = (duration_s * 10.0) as usize;
-    let mut fed = 0u64;
-    let t0 = Instant::now();
-    for k in 0..ticks {
-        let t = k as f64 * 0.1;
-        rt.advance_to(t);
-        for id in 0..n as u64 {
-            let rssi =
-                ((t * (0.07 + id as f64 * 0.002)).sin() + (t * 0.19 + id as f64 * 1.3).cos()) * 4.0
-                    - 72.0;
-            rt.offer(t, Beacon::new(id, t, rssi));
-            fed += 1;
-        }
-    }
-    rt.advance_to(duration_s);
-    let elapsed = t0.elapsed().as_secs_f64();
-    let counters = rt.counters();
-    (elapsed, fed, counters.deadline_misses, rt.rounds_run())
-}
-
-/// Streaming-runtime ingest throughput at a fixed deadline-miss rate.
-///
-/// The miss rate is pinned deterministically with a pair-count budget
-/// rather than a wall-clock one: a budget of half the round's pairwise
-/// comparisons forces a miss every round (rate 1.0, the degraded steady
-/// state), while the unbounded policy pins rate 0.0 (the batch-parity
-/// steady state). Machine speed moves only the beacons/sec column.
-fn bench_streaming() {
-    println!();
-    println!("streaming runtime ingest, 10 Hz per identity, 2 windows of 20 s");
-    println!(
-        "{:>4} {:>12} {:>14} {:>10} {:>10}",
-        "n", "deadline", "beacons/s", "miss rate", "rounds"
-    );
-    let mut rows = Vec::new();
-    for n in [16usize, 48, 96] {
-        let pairs = (n * (n - 1) / 2) as u64;
-        for (label, deadline, target_rate) in [
-            ("unbounded", DeadlinePolicy::Unbounded, 0.0),
-            ("pairs/2", DeadlinePolicy::PairBudget(pairs / 2), 1.0),
-        ] {
-            let reps = if n >= 96 { 3 } else { 5 };
-            let mut best = f64::INFINITY;
-            let mut fed = 0;
-            let mut misses = 0;
-            let mut rounds = 0;
-            for _ in 0..reps {
-                let (elapsed, f, m, r) = feed_streaming(n, 2, deadline);
-                best = best.min(elapsed);
-                fed = f;
-                misses = m;
-                rounds = r;
-            }
-            let rate = misses as f64 / rounds as f64;
-            assert_eq!(
-                rate, target_rate,
-                "{label}: pair budget no longer pins the miss rate"
-            );
-            let throughput = fed as f64 / best;
-            println!("{n:>4} {label:>12} {throughput:>14.0} {rate:>10.2} {rounds:>10}");
-            rows.push(format!(
-                concat!(
-                    "    {{\"identities\": {}, \"deadline\": \"{}\", ",
-                    "\"beacons_per_sec\": {:.0}, \"deadline_miss_rate\": {:.2}, ",
-                    "\"rounds\": {}}}"
-                ),
-                n, label, throughput, rate, rounds
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"beacon_rate_hz\": 10,\n  \"windows\": 2,\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("results/BENCH_runtime.json", &json).expect("write BENCH_runtime.json");
-    println!("wrote results/BENCH_runtime.json");
-}
-
 /// Observability overhead at a paper-scale neighbourhood: one full
-/// compare + confirm round, timed with the instrumentation compiled in
-/// but inactive (no sink), with an in-memory sink, and with a JSON-lines
-/// sink draining to a null writer. Run the same binary without
-/// `--features obs` to get the compiled-out baseline in the same file
-/// (`obs_compiled: false`); comparing the two runs gives the
-/// enabled-vs-disabled overhead.
-#[cfg(feature = "obs")]
+/// compare + confirm round, timed with no sink installed (each hook one
+/// relaxed load), with an in-memory sink, and with a JSON-lines sink
+/// draining to a null writer.
+///
+/// Each rep runs the three back to back, in an order that rotates every
+/// rep, and a sink's overhead is the median over reps of its round time
+/// over the same rep's no-sink time, so drift in the host's speed
+/// cancels. The sweep runs on one thread: at two, the spread between
+/// identical rounds is wider than the overhead.
 fn bench_obs() {
     use std::sync::Arc;
-    use voiceprint::confirm;
-    use vp_obs::{JsonLinesSink, MemorySink, ScopedSink};
+    use vp_obs::{JsonLinesSink, MemorySink, ScopedSink, Sink};
 
     let n = 48;
     let samples = 200;
     let series = neighbourhood(n, samples);
     let cfg = ComparisonConfig::default();
     let policy = ThresholdPolicy::paper_simulation();
-    let reps = 9;
+    let reps = 101;
     let round = |series: &Vec<(u64, Vec<f64>)>| {
-        let pd = compare(std::hint::black_box(series), &cfg);
+        let pd = compare_sequential(std::hint::black_box(series), &cfg);
         std::hint::black_box(confirm(&pd, 15.0, &policy));
     };
 
     // Warm-up, and a correctness guard: verdicts must not depend on the
     // sink state.
-    let base_verdict = confirm(&compare(&series, &cfg), 15.0, &policy);
+    let base_verdict = confirm(&compare_sequential(&series, &cfg), 15.0, &policy);
     {
         let _guard = ScopedSink::install(Arc::new(MemorySink::new()));
         assert_eq!(
-            confirm(&compare(&series, &cfg), 15.0, &policy),
+            confirm(&compare_sequential(&series, &cfg), 15.0, &policy),
             base_verdict,
             "observation changed a verdict"
         );
     }
 
-    let no_sink = median_secs(reps, || round(&series));
-    let memory = {
-        let _guard = ScopedSink::install(Arc::new(MemorySink::new()));
-        median_secs(reps, || round(&series))
+    let sinks: [Option<Arc<dyn Sink>>; 3] = [
+        None,
+        Some(Arc::new(MemorySink::new())),
+        Some(Arc::new(JsonLinesSink::new(std::io::sink()))),
+    ];
+    let mut ms: [Vec<f64>; 3] = Default::default();
+    for rep in 0..reps {
+        for k in 0..3 {
+            let col = (rep + k) % 3;
+            let _guard = sinks[col].clone().map(ScopedSink::install);
+            let t0 = Instant::now();
+            round(&series);
+            ms[col].push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let sorted = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v
     };
-    let jsonl = {
-        let _guard = ScopedSink::install(Arc::new(JsonLinesSink::new(std::io::sink())));
-        median_secs(reps, || round(&series))
+    let overhead_pct = |col: usize| {
+        let ratios = sorted((0..reps).map(|r| ms[col][r] / ms[0][r]).collect());
+        (ratios[reps / 2] - 1.0) * 100.0
     };
+    let (memory_pct, jsonl_pct) = (overhead_pct(1), overhead_pct(2));
+    // (first quartile, median, third quartile) of each column.
+    let [no_sink, memory, jsonl] = ms.map(|v| {
+        let v = sorted(v);
+        (v[reps / 4], v[reps / 2], v[3 * reps / 4])
+    });
 
     println!();
-    println!("observability overhead, {n} identities, {samples}-sample series");
-    println!("{:>14} {:>12} | overhead vs no sink", "sink", "round ms");
-    for (label, t) in [("none", no_sink), ("memory", memory), ("jsonl", jsonl)] {
-        println!(
-            "{:>14} {:>12.3} | {:+.1}%",
-            label,
-            t * 1e3,
-            (t / no_sink - 1.0) * 100.0
-        );
+    println!(
+        "observability overhead, {n} identities, {samples}-sample series, 1 thread, {reps} reps"
+    );
+    println!(
+        "{:>8} {:>9} {:>17} | overhead vs no sink",
+        "sink", "round ms", "quartiles ms"
+    );
+    for (label, (q1, med, q3), pct) in [
+        ("none", no_sink, 0.0),
+        ("memory", memory, memory_pct),
+        ("jsonl", jsonl, jsonl_pct),
+    ] {
+        println!("{label:>8} {med:>9.3} {q1:>8.3}–{q3:<8.3} | {pct:+.1}%");
     }
+    let column = |name: &str, (q1, med, q3): (f64, f64, f64)| {
+        format!("  \"{name}_ms\": {med:.4},\n  \"{name}_ms_quartiles\": [{q1:.4}, {q3:.4}],\n")
+    };
     let json = format!(
         concat!(
-            "{{\n  \"obs_compiled\": true,\n  \"identities\": {},\n",
-            "  \"samples_per_series\": {},\n  \"no_sink_ms\": {:.4},\n",
-            "  \"memory_sink_ms\": {:.4},\n  \"jsonl_sink_ms\": {:.4},\n",
+            "{{\n  \"identities\": {},\n  \"samples_per_series\": {},\n",
+            "  \"threads\": 1,\n  \"reps\": {},\n{}{}{}",
             "  \"memory_overhead_pct\": {:.2},\n  \"jsonl_overhead_pct\": {:.2}\n}}\n"
         ),
         n,
         samples,
-        no_sink * 1e3,
-        memory * 1e3,
-        jsonl * 1e3,
-        (memory / no_sink - 1.0) * 100.0,
-        (jsonl / no_sink - 1.0) * 100.0,
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    println!("wrote results/BENCH_obs.json");
-}
-
-/// Compiled-out baseline: same compare + confirm round with the
-/// instrumentation absent entirely.
-#[cfg(not(feature = "obs"))]
-fn bench_obs() {
-    use voiceprint::confirm;
-
-    let n = 48;
-    let samples = 200;
-    let series = neighbourhood(n, samples);
-    let cfg = ComparisonConfig::default();
-    let policy = ThresholdPolicy::paper_simulation();
-    let disabled = median_secs(9, || {
-        let pd = compare(std::hint::black_box(&series), &cfg);
-        std::hint::black_box(confirm(&pd, 15.0, &policy));
-    });
-    println!();
-    println!(
-        "observability disabled (not compiled), {n} identities: round {:.3} ms",
-        disabled * 1e3
-    );
-    let json = format!(
-        concat!(
-            "{{\n  \"obs_compiled\": false,\n  \"identities\": {},\n",
-            "  \"samples_per_series\": {},\n  \"disabled_ms\": {:.4}\n}}\n"
-        ),
-        n,
-        samples,
-        disabled * 1e3,
+        reps,
+        column("no_sink", no_sink),
+        column("memory_sink", memory),
+        column("jsonl_sink", jsonl),
+        memory_pct,
+        jsonl_pct,
     );
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_obs.json", &json).expect("write BENCH_obs.json");
@@ -548,6 +446,5 @@ fn main() {
     std::fs::write("results/BENCH_compare.json", &json).expect("write BENCH_compare.json");
     println!("wrote results/BENCH_compare.json");
 
-    bench_streaming();
     bench_obs();
 }

@@ -186,33 +186,6 @@ impl Collector {
         });
     }
 
-    /// Number of stored samples for `identity` (0 when unheard). The
-    /// streaming runtime's shedding policy uses this to find the densest
-    /// identities.
-    pub fn sample_count(&self, identity: IdentityId) -> usize {
-        self.samples.get(&identity).map_or(0, Vec::len)
-    }
-
-    /// Drops the oldest `n` samples of `identity`, returning how many
-    /// were actually dropped. "Oldest" is by timestamp ([`f64::total_cmp`]
-    /// order), not arrival order, so shedding under out-of-order delivery
-    /// still removes the stalest data first.
-    pub fn shed_oldest(&mut self, identity: IdentityId, n: usize) -> usize {
-        let Some(entries) = self.samples.get_mut(&identity) else {
-            return 0;
-        };
-        let n = n.min(entries.len());
-        if n == 0 {
-            return 0;
-        }
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-        entries.drain(..n);
-        if entries.is_empty() {
-            self.samples.remove(&identity);
-        }
-        n
-    }
-
     /// Serializable view of the collector's entire state: `(window,
     /// rejected, per-identity samples sorted by identity then time)`.
     /// The ordering is canonical, so two collectors with the same logical
@@ -403,23 +376,6 @@ mod tests {
         assert_eq!(c.rejected_samples(), 4);
         let series = c.series_at(1.0, 1);
         assert_eq!(series[0].1, vec![-70.0, -71.0]);
-    }
-
-    #[test]
-    fn shed_oldest_removes_stalest_samples_first() {
-        let mut c = Collector::new(20.0);
-        // Deliberately out of arrival order.
-        c.record(1, 3.0, -73.0);
-        c.record(1, 1.0, -71.0);
-        c.record(1, 2.0, -72.0);
-        assert_eq!(c.sample_count(1), 3);
-        assert_eq!(c.shed_oldest(1, 2), 2);
-        assert_eq!(c.series_at(3.0, 1)[0].1, vec![-73.0]);
-        // Shedding more than exists drops what's there and forgets the id.
-        assert_eq!(c.shed_oldest(1, 10), 1);
-        assert_eq!(c.sample_count(1), 0);
-        assert_eq!(c.heard_identities(), 0);
-        assert_eq!(c.shed_oldest(99, 5), 0);
     }
 
     #[test]

@@ -523,8 +523,8 @@ fn compare_impl(
     let prefill = if token.is_some() { f64::NAN } else { 0.0 };
     let mut raw = vec![prefill; pairs.len()];
 
-    // Sweep-level instrumentation (no-op without the `obs` feature; one
-    // relaxed load per hook when the feature is on but no sink is set).
+    // Sweep-level instrumentation (one relaxed load per hook when no
+    // sink is installed).
     let stats = trace::SweepStats::new();
     // Always-on cascade tally the kernels report their per-pair
     // decisions into.

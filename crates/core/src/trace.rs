@@ -1,196 +1,135 @@
-//! Feature-gated observability hooks for the detection pipeline.
+//! Observability hooks for the detection pipeline.
 //!
-//! Call sites in the collector, comparator and confirmation code are
-//! unconditional; this module swaps between real instrumentation (the
-//! `obs` cargo feature, backed by `vp-obs`) and inlined no-ops, so the
-//! disabled build carries zero overhead and stays bit-identical (pinned
-//! by the golden-digest tests). With the feature enabled but no sink
-//! installed, every hook degrades to one relaxed atomic load.
+//! The collector, comparator and confirmation code call these hooks
+//! unconditionally; each one emits through `vp-obs`. With no sink
+//! installed a hook is one relaxed atomic load, and no clock is read.
+//! Events are derived from values the pipeline already computed and
+//! never feed back into it, so verdicts are bit-identical with or without
+//! a sink (pinned by the golden-digest tests).
 //!
 //! Event taxonomy is documented in DESIGN.md §12.
 
-#[cfg(feature = "obs")]
-mod imp {
-    use std::time::Instant;
+use std::time::Instant;
 
-    use vp_obs::{emit, is_active, Event, Histogram};
+use vp_obs::{emit, is_active, Event, Histogram};
 
-    use crate::comparator::SweepCounters;
-    use crate::IdentityId;
+use crate::comparator::SweepCounters;
+use crate::IdentityId;
 
-    /// Per-sweep aggregation of comparator instrumentation: the whole-sweep
-    /// wall clock and a histogram of per-pair kernel timings, recorded into
-    /// atomics so the parallel workers share one instance without locking.
-    /// Cascade counters (cache hits, triage rejections, prune hits) are
-    /// tallied unconditionally by the comparator itself and handed to
-    /// [`SweepStats::finish`], so one `compare.sweep` event is emitted per
-    /// sweep — never one per pair.
-    pub(crate) struct SweepStats {
-        active: bool,
-        start: Option<Instant>,
-        pair_ns: Histogram,
-    }
-
-    impl SweepStats {
-        pub(crate) fn new() -> Self {
-            let active = is_active();
-            SweepStats {
-                active,
-                // vp-lint: allow(wall-clock) — obs-gated sweep timing; events never feed verdicts (DESIGN.md §12)
-                start: active.then(Instant::now),
-                // 1 µs … ~260 ms geometric ladder: DTW pair kernels run in
-                // the µs–ms range at paper-scale series lengths.
-                pair_ns: Histogram::exponential(1_000, 4, 10),
-            }
-        }
-
-        #[inline]
-        pub(crate) fn pair_start(&self) -> Option<Instant> {
-            if self.active {
-                // vp-lint: allow(wall-clock) — obs-gated per-pair timing; never feeds verdicts
-                Some(Instant::now())
-            } else {
-                None
-            }
-        }
-
-        #[inline]
-        pub(crate) fn pair_end(&self, started: Option<Instant>) {
-            if let Some(t0) = started {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.pair_ns.record(ns);
-            }
-        }
-
-        pub(crate) fn finish(&self, ids: usize, quarantined: usize, counters: &SweepCounters) {
-            if !self.active {
-                return;
-            }
-            let duration_ns = self
-                .start
-                .map(|t0| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
-            emit(|| {
-                self.pair_ns.attach_to(
-                    Event::new("compare.sweep")
-                        .with("ids", ids)
-                        .with("pairs", counters.pairs)
-                        .with("computed", counters.computed)
-                        .with("cache_hit", counters.cache_hits)
-                        .with("cache_miss", counters.cache_misses)
-                        .with("triage_rejected", counters.triage_rejected)
-                        .with("pruned_lb", counters.pruned_lb)
-                        .with("pruned_abandon", counters.pruned_abandon)
-                        .with("quarantined", quarantined)
-                        .with("duration_ns", duration_ns),
-                )
-            });
-        }
-    }
-
-    pub(crate) fn collector_rejected(identity: IdentityId, reason: &'static str) {
-        emit(|| {
-            Event::new("collector.quarantine")
-                .with("identity", identity)
-                .with("reason", reason)
-        });
-    }
-
-    pub(crate) fn confirm_flagged(
-        id_i: IdentityId,
-        id_j: IdentityId,
-        normalized: f64,
-        raw: f64,
-        threshold: f64,
-        density: f64,
-        degenerate: bool,
-    ) {
-        emit(|| {
-            Event::new("confirm.flagged")
-                .with("id_i", id_i)
-                .with("id_j", id_j)
-                .with("distance", normalized)
-                .with("raw", raw)
-                .with("threshold", threshold)
-                .with("density", density)
-                .with("degenerate_scale", degenerate)
-        });
-    }
-
-    pub(crate) fn confirm_round(
-        ids: usize,
-        density: f64,
-        threshold: f64,
-        flagged: usize,
-        suspects: usize,
-        quarantined: usize,
-    ) {
-        emit(|| {
-            Event::new("confirm.round")
-                .with("ids", ids)
-                .with("density", density)
-                .with("threshold", threshold)
-                .with("flagged", flagged)
-                .with("suspects", suspects)
-                .with("quarantined", quarantined)
-        });
-    }
+/// Per-sweep aggregation of comparator instrumentation: the whole-sweep
+/// wall clock and a histogram of per-pair kernel timings, recorded into
+/// atomics so the parallel workers share one instance without locking.
+/// Cascade counters (cache hits, triage rejections, prune hits) are
+/// tallied unconditionally by the comparator itself and handed to
+/// [`SweepStats::finish`], so one `compare.sweep` event is emitted per
+/// sweep — never one per pair.
+pub(crate) struct SweepStats {
+    active: bool,
+    start: Option<Instant>,
+    pair_ns: Histogram,
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use crate::comparator::SweepCounters;
-    use crate::IdentityId;
-
-    /// No-op stand-in: every method inlines to nothing, so the disabled
-    /// build pays zero cost at the unconditional call sites.
-    pub(crate) struct SweepStats;
-
-    impl SweepStats {
-        #[inline(always)]
-        pub(crate) fn new() -> Self {
-            SweepStats
+impl SweepStats {
+    pub(crate) fn new() -> Self {
+        let active = is_active();
+        SweepStats {
+            active,
+            // vp-lint: allow(wall-clock) — sink-gated sweep timing; events never feed verdicts (DESIGN.md §12)
+            start: active.then(Instant::now),
+            // 1 µs … ~260 ms geometric ladder: DTW pair kernels run in
+            // the µs–ms range at paper-scale series lengths.
+            pair_ns: Histogram::exponential(1_000, 4, 10),
         }
+    }
 
-        // Mirrors the obs variant's `Option<Instant>` return type (always
-        // `None` here) so call sites bind it without a unit-value lint.
-        #[inline(always)]
-        pub(crate) fn pair_start(&self) -> Option<std::time::Instant> {
+    #[inline]
+    pub(crate) fn pair_start(&self) -> Option<Instant> {
+        if self.active {
+            // vp-lint: allow(wall-clock) — sink-gated per-pair timing; never feeds verdicts
+            Some(Instant::now())
+        } else {
             None
         }
-
-        #[inline(always)]
-        pub(crate) fn pair_end(&self, _started: Option<std::time::Instant>) {}
-
-        #[inline(always)]
-        pub(crate) fn finish(&self, _ids: usize, _quarantined: usize, _counters: &SweepCounters) {}
     }
 
-    #[inline(always)]
-    pub(crate) fn collector_rejected(_identity: IdentityId, _reason: &'static str) {}
-
-    #[inline(always)]
-    pub(crate) fn confirm_flagged(
-        _id_i: IdentityId,
-        _id_j: IdentityId,
-        _normalized: f64,
-        _raw: f64,
-        _threshold: f64,
-        _density: f64,
-        _degenerate: bool,
-    ) {
+    #[inline]
+    pub(crate) fn pair_end(&self, started: Option<Instant>) {
+        if let Some(t0) = started {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.pair_ns.record(ns);
+        }
     }
 
-    #[inline(always)]
-    pub(crate) fn confirm_round(
-        _ids: usize,
-        _density: f64,
-        _threshold: f64,
-        _flagged: usize,
-        _suspects: usize,
-        _quarantined: usize,
-    ) {
+    pub(crate) fn finish(&self, ids: usize, quarantined: usize, counters: &SweepCounters) {
+        if !self.active {
+            return;
+        }
+        let duration_ns = self
+            .start
+            .map(|t0| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX))
+            .unwrap_or(0);
+        emit(|| {
+            self.pair_ns.attach_to(
+                Event::new("compare.sweep")
+                    .with("ids", ids)
+                    .with("pairs", counters.pairs)
+                    .with("computed", counters.computed)
+                    .with("cache_hit", counters.cache_hits)
+                    .with("cache_miss", counters.cache_misses)
+                    .with("triage_rejected", counters.triage_rejected)
+                    .with("pruned_lb", counters.pruned_lb)
+                    .with("pruned_abandon", counters.pruned_abandon)
+                    .with("quarantined", quarantined)
+                    .with("duration_ns", duration_ns),
+            )
+        });
     }
 }
 
-pub(crate) use imp::*;
+pub(crate) fn collector_rejected(identity: IdentityId, reason: &'static str) {
+    emit(|| {
+        Event::new("collector.quarantine")
+            .with("identity", identity)
+            .with("reason", reason)
+    });
+}
+
+pub(crate) fn confirm_flagged(
+    id_i: IdentityId,
+    id_j: IdentityId,
+    normalized: f64,
+    raw: f64,
+    threshold: f64,
+    density: f64,
+    degenerate: bool,
+) {
+    emit(|| {
+        Event::new("confirm.flagged")
+            .with("id_i", id_i)
+            .with("id_j", id_j)
+            .with("distance", normalized)
+            .with("raw", raw)
+            .with("threshold", threshold)
+            .with("density", density)
+            .with("degenerate_scale", degenerate)
+    });
+}
+
+pub(crate) fn confirm_round(
+    ids: usize,
+    density: f64,
+    threshold: f64,
+    flagged: usize,
+    suspects: usize,
+    quarantined: usize,
+) {
+    emit(|| {
+        Event::new("confirm.round")
+            .with("ids", ids)
+            .with("density", density)
+            .with("threshold", threshold)
+            .with("flagged", flagged)
+            .with("suspects", suspects)
+            .with("quarantined", quarantined)
+    });
+}

@@ -24,11 +24,11 @@
 //!
 //! # Determinism contract
 //!
-//! Observability must never change detection output. Instrumented crates
-//! gate every hook behind their `obs` cargo feature and the golden-digest
-//! tests pin bit-identity with the feature disabled; with the feature
-//! enabled, events are derived from values the pipeline already computed,
-//! never fed back into it.
+//! Observability must never change detection output. The instrumented
+//! crates always compile their hooks in; with no sink installed each hook
+//! is one relaxed load, and with a sink, events are derived from values
+//! the pipeline already computed, never fed back into it. The
+//! golden-digest tests pin the same bits with and without a sink.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -229,10 +229,9 @@ pub fn par_fill_with_min_fanout<T, S, FI, F>(
     let n = slots.len();
     let threads = threads.max(1).min(n.max(1));
     let inline = threads == 1 || n < min_fanout.max(2) || in_parallel_region();
-    // Span around the whole region (only with the `obs` feature; a
-    // no-sink emit is one relaxed load). Timing wraps the fan-out, so
-    // spawn/join overhead is part of the reported duration.
-    #[cfg(feature = "obs")]
+    // Span around the whole region (with no sink installed, one relaxed
+    // load). Timing wraps the fan-out, so spawn/join overhead is part of
+    // the reported duration.
     let span = vp_obs::span("par.region")
         .field("slots", n)
         .field("threads", if inline { 1usize } else { threads })
@@ -245,7 +244,6 @@ pub fn par_fill_with_min_fanout<T, S, FI, F>(
     } else {
         fork_join(slots, threads, &init, &f);
     }
-    #[cfg(feature = "obs")]
     span.finish();
 }
 

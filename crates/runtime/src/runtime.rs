@@ -877,17 +877,21 @@ mod tests {
 
     #[test]
     fn repeated_misses_saturate_at_max_level() {
-        let mut config = test_config();
-        config.deadline = DeadlinePolicy::PairBudget(1);
-        let mut rt = StreamingRuntime::new(config).unwrap();
-        for round in 0..4 {
-            let t0 = round as f64 * 20.0;
-            feed_window(&mut rt, t0, 4);
-            let report = verdict_of(&rt.advance_to(t0 + 20.0)[0]).clone();
-            assert!(!report.complete);
+        // Six identities → 15 pairs per window. One pair, or half of
+        // them, misses every round at every degradation level.
+        for budget in [1, 15 / 2] {
+            let mut config = test_config();
+            config.deadline = DeadlinePolicy::PairBudget(budget);
+            let mut rt = StreamingRuntime::new(config).unwrap();
+            for round in 0..4 {
+                let t0 = round as f64 * 20.0;
+                feed_window(&mut rt, t0, 4);
+                let report = verdict_of(&rt.advance_to(t0 + 20.0)[0]).clone();
+                assert!(!report.complete, "budget {budget}, round {round}");
+            }
+            assert_eq!(rt.degrade_level(), 2, "saturates at max_level");
+            assert_eq!(rt.counters().deadline_misses, 4);
         }
-        assert_eq!(rt.degrade_level(), 2, "saturates at max_level");
-        assert_eq!(rt.counters().deadline_misses, 4);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Observability contract tests (DESIGN.md §12), compiled only with the
-//! `obs` feature.
+//! Observability contract tests (DESIGN.md §12).
 //!
 //! The central property: installing a sink changes *what is recorded*,
 //! never *what is decided*. The golden digests pinned by
@@ -9,8 +8,6 @@
 //! The sink is process-global, and an unobserved run emits into whatever
 //! sink another test has installed, so every test holds [`SERIAL`] for
 //! its whole body.
-
-#![cfg(feature = "obs")]
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -195,4 +192,95 @@ fn observation_never_changes_verdicts() {
         };
         assert_eq!(base, observed, "case {case}");
     }
+}
+
+/// A city run is observable shard by shard: every `runtime.round` a shard
+/// emits carries that shard's `observer` and `cell` labels, each shard
+/// emits one `city.shard` and the run one `city.fused`, and the outcome,
+/// every checkpoint byte included, equals the unobserved run's.
+#[test]
+fn city_events_carry_shard_labels_and_change_no_outcome() {
+    use std::collections::BTreeMap;
+    use vp_city::{run_city, CityConfig, ObserverFeed};
+    use vp_obs::{Event, FieldValue};
+    use vp_runtime::{run_scenario_streaming, RuntimeConfig};
+    use vp_sim::ScenarioConfig;
+    let _serial = serial();
+
+    let scenario = ScenarioConfig::builder()
+        .density_per_km(15.0)
+        .simulation_time_s(45.0)
+        .observer_count(2)
+        .witness_pool_size(6)
+        .malicious_fraction(0.1)
+        .seed(42)
+        .collect_inputs(true)
+        .build();
+    let runtime = RuntimeConfig::from_scenario(&scenario, ThresholdPolicy::paper_simulation());
+    let taps = run_scenario_streaming(&scenario, &runtime)
+        .expect("valid configs")
+        .sim
+        .beacon_tap;
+    // No shard's cell equals its observer, and `(cell, observer)` order
+    // reverses the feed order, so a label taken from the wrong shard or
+    // the wrong field shows.
+    let feeds: Vec<ObserverFeed> = taps
+        .into_iter()
+        .zip([7u64, 3])
+        .enumerate()
+        .map(|(idx, (beacons, cell))| ObserverFeed {
+            observer: idx as u64,
+            cell,
+            beacons,
+        })
+        .collect();
+    assert_eq!(feeds.len(), 2);
+    let mut config = CityConfig::new(runtime);
+    config.worker_threads = 2;
+    let end_s = scenario.simulation_time_s;
+
+    let unobserved = run_city(&feeds, end_s, &config).expect("city runs");
+    let sink = Arc::new(MemorySink::new());
+    let observed = {
+        let _guard = ScopedSink::install(sink.clone());
+        run_city(&feeds, end_s, &config).expect("city runs")
+    };
+    // Debug rather than PartialEq: a NaN distance in an audit record is
+    // equal to itself only through its exact formatting. The shards'
+    // Debug form includes every checkpoint byte.
+    assert_eq!(
+        format!("{:?}", observed.shards),
+        format!("{:?}", unobserved.shards)
+    );
+    assert_eq!(
+        format!("{:?}", observed.fused),
+        format!("{:?}", unobserved.fused)
+    );
+
+    assert_eq!(sink.count("city.shard"), observed.shards.len());
+    assert_eq!(sink.count("city.fused"), 1);
+    let label = |e: &Event, key: &str| match e.field(key) {
+        Some(FieldValue::U64(v)) => Some(*v),
+        _ => None,
+    };
+    let events = sink.events();
+    let mut rounds_by_shard: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.name == "runtime.round") {
+        let cell = label(e, "cell").expect("runtime.round carries a cell label");
+        let observer = label(e, "observer").expect("runtime.round carries an observer label");
+        *rounds_by_shard.entry((cell, observer)).or_default() += 1;
+    }
+    let expected: BTreeMap<(u64, u64), usize> = observed
+        .shards
+        .iter()
+        .map(|s| ((s.cell, s.observer), s.rounds.len()))
+        .collect();
+    assert!(expected.values().all(|&rounds| rounds > 0));
+    assert_eq!(rounds_by_shard, expected);
+    // The labels are gone once a shard returns: fusion runs unlabelled.
+    let fused = events
+        .iter()
+        .find(|e| e.name == "city.fused")
+        .expect("one city.fused");
+    assert_eq!(label(fused, "observer"), None);
 }
