@@ -10,8 +10,11 @@
 //! follows `VP_NUM_THREADS` (default: all cores).
 //!
 //! `--smoke` runs the CI correctness gate instead: a small sliding
-//! sweep asserting cascade results equal the exact sweep (no files
-//! written).
+//! sweep asserting cascade results equal the exact sweep, and each
+//! round's cascade counters (sketch triage rejections, LB_Keogh prunes,
+//! abandoned DPs, cache hits) equal their pins. The counters are
+//! deterministic, so the gate never reads a clock, and a loosened bound
+//! moves them. No files are written.
 //!
 //! Also writes `results/BENCH_obs.json` with the observability layer's
 //! overhead: one compare + confirm round with no sink, an in-memory sink
@@ -270,10 +273,16 @@ fn bench_sliding_row(
     )
 }
 
+/// Pinned cascade counters of the smoke sweep's three rounds:
+/// `(triage_rejected, pruned_lb, pruned_abandon, cache_hits)`.
+const SMOKE_COUNTERS: [(u64, u64, u64, u64); 3] =
+    [(39, 58, 7, 0), (10, 12, 1, 91), (12, 12, 1, 91)];
+
 /// CI smoke mode (`--smoke`): a small sliding-window sweep asserting the
 /// cascade's correctness contracts — cached results bit-identical to the
-/// uncached sweep under the same configuration, and cascade verdicts
-/// identical to the exact sweep's — then exits without writing results.
+/// uncached sweep under the same configuration, cascade verdicts
+/// identical to the exact sweep's, and every round's cascade counters
+/// equal to [`SMOKE_COUNTERS`] — then exits without writing results.
 fn smoke() {
     let samples = 200;
     let dirty = 2;
@@ -323,6 +332,20 @@ fn smoke() {
                 "round {round}: sliding window produced no cache hits"
             );
         }
+        let seen = (
+            counters.triage_rejected,
+            counters.pruned_lb,
+            counters.pruned_abandon,
+            counters.cache_hits,
+        );
+        println!(
+            "round {round}: {} pairs, {} triage-rejected, {} LB-pruned, {} abandoned, {} cache hits",
+            counters.pairs, seen.0, seen.1, seen.2, seen.3
+        );
+        assert_eq!(
+            seen, SMOKE_COUNTERS[round as usize],
+            "round {round}: cascade counters (triage, LB, abandon, cache hits) moved"
+        );
     }
     println!("smoke ok: cascade matches the exact sweep across sliding windows");
 }

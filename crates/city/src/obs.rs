@@ -6,24 +6,19 @@
 //! scope on the thread running the shard, so *every* event the runtime
 //! emits there — `runtime.round`, `compare.sweep`, checkpoint events —
 //! carries the shard's coordinates without any change to the runtime's
-//! own call sites. With no sink installed it attaches nothing.
+//! own call sites. The scope is attached whether or not a sink is
+//! installed, once per shard rather than per event, so a sink installed
+//! while the shard runs still receives labelled events.
 
-use vp_obs::{emit, is_active, Event, ScopedLabels};
+use vp_obs::{emit, Event, ScopedLabels};
 use vp_sim::IdentityId;
 
 use crate::cell::CellId;
 use crate::fusion::FusedRound;
 use crate::shard::ShardOutcome;
 
-pub(crate) fn shard_labels(observer: IdentityId, cell: CellId) -> Option<ScopedLabels> {
-    if is_active() {
-        Some(ScopedLabels::attach([
-            ("observer", observer),
-            ("cell", cell),
-        ]))
-    } else {
-        None
-    }
+pub(crate) fn shard_labels(observer: IdentityId, cell: CellId) -> ScopedLabels {
+    ScopedLabels::attach([("observer", observer), ("cell", cell)])
 }
 
 pub(crate) fn shard_done(outcome: &ShardOutcome) {
@@ -47,4 +42,33 @@ pub(crate) fn fused(rounds: &[FusedRound], shard_count: usize) {
             .with("boundaries", rounds.len())
             .with("suspects", suspects)
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use vp_obs::{FieldValue, MemorySink, ScopedSink};
+
+    /// A sink installed after the shard attached its labels still gets
+    /// labelled events: the scope does not depend on a sink at attach
+    /// time. (Other tests' threads may emit into the sink meanwhile, so
+    /// the probe event has a name of its own.)
+    #[test]
+    fn a_sink_installed_after_the_shard_starts_gets_labelled_events() {
+        let labels = shard_labels(11, 5);
+        let sink = Arc::new(MemorySink::new());
+        let guard = ScopedSink::install(sink.clone());
+        emit(|| Event::new("city.late_sink_probe"));
+        drop(guard);
+        drop(labels);
+        let events = sink.events();
+        let probes: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "city.late_sink_probe")
+            .collect();
+        assert_eq!(probes.len(), 1);
+        assert_eq!(probes[0].field("observer"), Some(&FieldValue::U64(11)));
+        assert_eq!(probes[0].field("cell"), Some(&FieldValue::U64(5)));
+    }
 }

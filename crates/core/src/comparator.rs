@@ -14,7 +14,7 @@ use vp_par::{par_fill_with_cancel, par_fill_with_threads, CancelToken};
 use vp_timeseries::distance::squared_euclidean;
 use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
 use vp_timeseries::fastdtw::fast_dtw;
-use vp_timeseries::lowerbound::lb_keogh_banded;
+use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
 use vp_timeseries::scratch::DtwScratch;
 use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch};
@@ -574,6 +574,9 @@ fn compare_impl(
                     ),
                     Some(t) => {
                         let per_step = config.per_step_cost;
+                        // LB_Keogh's envelope tables: built once per sweep,
+                        // like the sketches, for every series and radius.
+                        let envelopes = &SweepEnvelopes::build(&prepared, band_fraction);
                         fill_pairs(
                             slots,
                             todo,
@@ -596,8 +599,9 @@ fn compare_impl(
                                         return slb;
                                     }
                                 }
-                                // Stage 2: linear-cost LB_Keogh.
-                                let lb = lb_keogh_banded(a, b, band, s);
+                                // Stage 2: LB_Keogh, one pass over `a` reading
+                                // `b`'s envelope tables.
+                                let lb = lb_keogh_envelope(a, envelopes.get(j, band));
                                 if lb > t_raw {
                                     tally_ref.pruned_lb.fetch_add(1, Ordering::Relaxed);
                                     lb
@@ -741,6 +745,50 @@ fn compare_impl(
         complete,
         counters,
     )
+}
+
+/// Every series' LB_Keogh envelope tables at every band radius the
+/// sweep's pairs use it with, as the second series `b` of `(a, b)`.
+///
+/// A pair's radius depends on its longer series, so series `j` needs one
+/// table per distinct radius among its pairs `(i, j)`, `i < j` — one or
+/// two in a round of similar window lengths. Each table serves every
+/// partner length (see `vp_timeseries::lowerbound`), so a pair's bound is
+/// one read-and-accumulate pass.
+struct SweepEnvelopes {
+    /// Per series, its tables (ascending radius).
+    tables: Vec<Vec<KeoghEnvelope>>,
+}
+
+impl SweepEnvelopes {
+    // vp-lint: allow(panic-reachability) — i < j < prepared.len() by loop construction
+    fn build(prepared: &[Cow<'_, [f64]>], band_fraction: f64) -> Self {
+        let tables = prepared
+            .iter()
+            .enumerate()
+            .map(|(j, b)| {
+                let mut radii: Vec<usize> = prepared[..j]
+                    .iter()
+                    .map(|a| band_width(a.len().max(b.len()), band_fraction))
+                    .collect();
+                radii.sort_unstable();
+                radii.dedup();
+                radii
+                    .into_iter()
+                    .map(|radius| KeoghEnvelope::build(b, radius))
+                    .collect()
+            })
+            .collect();
+        SweepEnvelopes { tables }
+    }
+
+    /// Series `j`'s tables at `radius`, which [`SweepEnvelopes::build`]
+    /// made for every pair `(i, j)` of the sweep.
+    // vp-lint: allow(panic-reachability) — j indexes a prepared series; build covered every (j, radius) a pair uses
+    fn get(&self, j: usize, radius: usize) -> &KeoghEnvelope {
+        let tables = &self.tables[j];
+        &tables[tables.partition_point(|t| t.radius() < radius)]
+    }
 }
 
 /// Sakoe–Chiba half-width for a pair whose longer series has `max_len`

@@ -13,18 +13,20 @@
 //! unit tests here pin the recursion's true value; the discrepancy is
 //! recorded in `EXPERIMENTS.md`.
 //!
-//! One dynamic program computes every DTW distance in this crate: [`dtw`]
-//! runs it over the full matrix, [`dtw_banded`] over a Sakoe–Chiba band
-//! (optionally abandoning early against a threshold), and
-//! [`crate::fastdtw::fast_dtw`] over its projected full-resolution window.
-//! It walks the matrix in anti-diagonal (wavefront) order, whose cells do
-//! not depend on each other, and gives the same bits as the textbook
-//! row-by-row recurrence. Only the path-returning forms — [`dtw_with_path`]
-//! and FastDTW's coarse levels — keep the whole table, because
-//! backtracking needs it.
+//! One dynamic program computes every DTW distance and warp path in this
+//! crate: [`dtw`] runs it over the full matrix, [`dtw_banded`] over a
+//! Sakoe–Chiba band (optionally abandoning early against a threshold),
+//! [`crate::fastdtw::fast_dtw`] over its projected windows, and
+//! [`dtw_with_path`] and FastDTW's coarse levels over theirs. It walks the
+//! matrix in anti-diagonal (wavefront) order, whose cells do not depend on
+//! each other, takes each row's column range only when the wavefront
+//! reaches the row, and gives the same bits as the textbook row-by-row
+//! recurrence. The path-returning forms additionally copy every
+//! anti-diagonal into one flat table in the scratch, and backtrack
+//! through it.
 
 use crate::scratch::DtwScratch;
-use crate::window::{sakoe_chiba_range, SearchWindow};
+use crate::window::SakoeChibaEdges;
 
 /// Squared point cost `c(i,j) = (xᵢ − yⱼ)²` (paper Eq. 3).
 #[inline]
@@ -53,13 +55,16 @@ pub fn point_cost(a: f64, b: f64) -> f64 {
 /// ```
 pub fn dtw(x: &[f64], y: &[f64], scratch: &mut DtwScratch) -> f64 {
     let m = y.len();
-    wavefront_dp::<false>(x, y, |_| (0, m - 1), f64::INFINITY, scratch).value()
+    let full = (0..x.len()).map(|_| (0, m - 1));
+    wavefront_dp::<false, false>(x, y, full, f64::INFINITY, scratch).value()
 }
 
 /// DTW distance restricted to a Sakoe–Chiba band of half-width `radius`,
 /// optionally abandoned early against a threshold.
 ///
-/// Row `i` visits the columns [`sakoe_chiba_range`]`(N, M, radius, i)`.
+/// Row `i` visits the columns
+/// [`crate::window::sakoe_chiba_range`]`(N, M, radius, i)`, walked with
+/// [`SakoeChibaEdges`] as the wavefront reaches each row.
 /// With a radius at least `max(N, M)` this equals [`dtw`]. Narrow bands
 /// are faster but may overestimate the distance when the optimal path
 /// strays from the diagonal.
@@ -82,30 +87,35 @@ pub fn dtw_banded(
     abandon_above: Option<f64>,
     scratch: &mut DtwScratch,
 ) -> BoundedDistance {
-    let (n, m) = (x.len(), y.len());
-    let band = |i| sakoe_chiba_range(n, m, radius, i);
+    assert!(
+        !x.is_empty() && !y.is_empty(),
+        "dtw requires non-empty series"
+    );
+    let band = SakoeChibaEdges::new(x.len(), y.len(), radius);
     match abandon_above {
-        Some(t) => wavefront_dp::<true>(x, y, band, t, scratch),
-        None => wavefront_dp::<false>(x, y, band, f64::INFINITY, scratch),
+        Some(t) => wavefront_dp::<true, false>(x, y, band, t, scratch),
+        None => wavefront_dp::<false, false>(x, y, band, f64::INFINITY, scratch),
     }
 }
 
 /// DTW distance evaluated only on the cells of `window`: FastDTW's
-/// full-resolution level. The window must have one row per element of
-/// `x` and `window.cols() == y.len()`.
+/// full-resolution level. `window` holds one inclusive column range per
+/// element of `x`, as a [`crate::window::SearchWindow`] does, the last
+/// ending at the last column of `y`.
 ///
 /// # Panics
 ///
-/// Panics if either series is empty or the window's shape does not match.
+/// Panics if either series is empty or the window's row count does not
+/// match.
 pub(crate) fn dtw_windowed(
     x: &[f64],
     y: &[f64],
-    window: &SearchWindow,
+    window: &[(usize, usize)],
     scratch: &mut DtwScratch,
 ) -> f64 {
-    assert_eq!(window.rows(), x.len(), "window row count must match x");
-    assert_eq!(window.cols(), y.len(), "window column count must match y");
-    wavefront_dp::<false>(x, y, |i| window.range(i), f64::INFINITY, scratch).value()
+    assert_eq!(window.len(), x.len(), "window row count must match x");
+    let rows = window.iter().copied();
+    wavefront_dp::<false, false>(x, y, rows, f64::INFINITY, scratch).value()
 }
 
 /// Exact DTW distance plus one optimal warp path.
@@ -118,115 +128,97 @@ pub(crate) fn dtw_windowed(
 ///
 /// Panics if either series is empty.
 pub fn dtw_with_path(x: &[f64], y: &[f64]) -> (f64, Vec<(usize, usize)>) {
-    let w = SearchWindow::full(x.len().max(1), y.len().max(1));
-    dtw_windowed_with_path(x, y, &w)
-}
-
-/// Windowed DTW returning both distance and warp path: the kernel of
-/// [`dtw_with_path`] and of FastDTW's coarse levels, whose paths the next
-/// level refines. It keeps the whole windowed table for backtracking.
-///
-/// # Panics
-///
-/// Panics if either series is empty or the window's shape does not match.
-pub(crate) fn dtw_windowed_with_path(
-    x: &[f64],
-    y: &[f64],
-    window: &SearchWindow,
-) -> (f64, Vec<(usize, usize)>) {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "dtw requires non-empty series"
-    );
-    assert_eq!(window.rows(), x.len(), "window row count must match x");
-    assert_eq!(window.cols(), y.len(), "window column count must match y");
-    let n = x.len();
-
-    // Per-row storage holding only the windowed cells.
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
-    for (i, &xi) in x.iter().enumerate() {
-        let (lo, hi) = window.range(i);
-        let (prev_row, prev_range): (&[f64], _) = match i.checked_sub(1) {
-            Some(p) => (&rows[p], window.range(p)),
-            None => (&[], (0, 0)),
-        };
-        let mut row = vec![f64::INFINITY; hi - lo + 1];
-        for j in lo..=hi {
-            let c = point_cost(xi, y[j]);
-            let best = if i == 0 && j == 0 {
-                0.0
-            } else {
-                let up = cell(prev_row, prev_range, j, i > 0);
-                let diag = if j > 0 {
-                    cell(prev_row, prev_range, j - 1, i > 0)
-                } else {
-                    f64::INFINITY
-                };
-                let left = if j > lo {
-                    row[j - lo - 1]
-                } else {
-                    f64::INFINITY
-                };
-                up.min(diag).min(left)
-            };
-            row[j - lo] = c + best;
-        }
-        rows.push(row);
-    }
-
-    let (last_lo, _) = window.range(n - 1);
-    let dist = rows[n - 1][y.len() - 1 - last_lo];
-
-    // Backtrack from (n-1, m-1), preferring the diagonal predecessor.
     let mut path = Vec::new();
-    let mut i = n - 1;
-    let mut j = y.len() - 1;
-    path.push((i, j));
-    while i > 0 || j > 0 {
-        let up = if i > 0 {
-            cell(&rows[i - 1], window.range(i - 1), j, true)
-        } else {
-            f64::INFINITY
-        };
-        let diag = if i > 0 && j > 0 {
-            cell(&rows[i - 1], window.range(i - 1), j - 1, true)
-        } else {
-            f64::INFINITY
-        };
-        let left = if j > 0 {
-            cell(&rows[i], window.range(i), j - 1, true)
-        } else {
-            f64::INFINITY
-        };
-        // NaN cell costs make every comparison false, so each branch is
-        // additionally guarded by legality: the walk must always take a
-        // move that exists, or backtracking would underflow at an edge.
-        // For finite costs the guards never change the chosen move —
-        // illegal directions read as infinity and lose the comparisons.
-        if i > 0 && j > 0 && diag <= up && diag <= left {
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && (up <= left || j == 0) {
-            i -= 1;
-        } else {
-            j -= 1;
-        }
-        path.push((i, j));
-    }
+    let dist = exact_path(x, y, &mut DtwScratch::new(), &mut path);
     path.reverse();
     (dist, path)
 }
 
-/// Reads DP cell `j` from a stored row covering `range`, returning infinity
-/// outside the window (or when there is no previous row).
-#[inline]
-// vp-lint: allow(panic-reachability) — j is range-checked against the row's span before the offset index
-fn cell(row: &[f64], range: (usize, usize), j: usize, exists: bool) -> f64 {
-    if !exists || j < range.0 || j > range.1 {
-        f64::INFINITY
-    } else {
-        row[j - range.0]
+/// [`dtw_with_path`] on a caller's scratch, the path last step first:
+/// FastDTW's coarsest level.
+pub(crate) fn exact_path(
+    x: &[f64],
+    y: &[f64],
+    scratch: &mut DtwScratch,
+    path: &mut Vec<(usize, usize)>,
+) -> f64 {
+    let m = y.len();
+    let full = (0..x.len()).map(|_| (0, m - 1));
+    path_dp(x, y, full, scratch, path)
+}
+
+/// Windowed DTW with its warp path, last step first: FastDTW's coarse
+/// levels, whose paths the next level refines. `window` holds one
+/// inclusive column range per element of `x`, as a
+/// [`crate::window::SearchWindow`] does.
+pub(crate) fn windowed_path(
+    x: &[f64],
+    y: &[f64],
+    window: &[(usize, usize)],
+    scratch: &mut DtwScratch,
+    path: &mut Vec<(usize, usize)>,
+) -> f64 {
+    assert_eq!(window.len(), x.len(), "window row count must match x");
+    path_dp(x, y, window.iter().copied(), scratch, path)
+}
+
+/// Runs the DP over the window whose rows are `rows`, keeping every
+/// windowed cell, and backtracks one warp path from `(N−1, M−1)` into
+/// `path`, last step first.
+///
+/// The walk prefers the diagonal predecessor, then up, then left, reading
+/// `+∞` outside the window. The cells are the DP's — the textbook
+/// recurrence's bits — so the path is the one a row-major path DP over the
+/// same window finds (`tests/oracle/mod.rs` keeps that DP as the oracle).
+// vp-lint: allow(panic-reachability) — i + j ≤ N + M − 2 indexes a run with an end entry after it; offsets are checked against the run's length
+fn path_dp(
+    x: &[f64],
+    y: &[f64],
+    rows: impl Iterator<Item = (usize, usize)> + Clone,
+    scratch: &mut DtwScratch,
+    path: &mut Vec<(usize, usize)>,
+) -> f64 {
+    let dist = wavefront_dp::<false, true>(x, y, rows, f64::INFINITY, scratch).value();
+    let (cells, runs) = (&scratch.cells, &scratch.cell_runs);
+    // Cell (i, j) lies on anti-diagonal i + j, whose window cells are the
+    // run of rows starting at the run's first row; `run(d)` reads row `i`
+    // of anti-diagonal `d`. With NaN costs the walk can leave the window,
+    // so every read is checked.
+    let run = |d: usize| {
+        let ((first, start), end) = (runs[d], runs[d + 1].1);
+        move |i: usize| match i.checked_sub(first) {
+            Some(k) if k < end - start => cells[start + k],
+            _ => f64::INFINITY,
+        }
+    };
+    let (mut i, mut j) = (x.len() - 1, y.len() - 1);
+    path.clear();
+    path.push((i, j));
+    while i > 0 || j > 0 {
+        // Up and left lie on anti-diagonal i + j − 1, diag on i + j − 2.
+        let prev = run(i + j - 1);
+        let up = if i > 0 { prev(i - 1) } else { f64::INFINITY };
+        let left = if j > 0 { prev(i) } else { f64::INFINITY };
+        let diag = if i > 0 && j > 0 {
+            run(i + j - 2)(i - 1)
+        } else {
+            f64::INFINITY
+        };
+        // Diagonal if it is no worse than up and left, else up if no worse
+        // than left, else left. NaN cell costs make every comparison
+        // false, so each move is additionally guarded by legality: the
+        // walk must always take a move that exists, or backtracking would
+        // underflow at an edge. For finite costs the guards never change
+        // the chosen move — illegal directions read as infinity and lose
+        // the comparisons. The choice is computed without branches: which
+        // way a path turns is the least predictable thing in this loop.
+        let diagonal = (i > 0) & (j > 0) & (diag <= up) & (diag <= left);
+        let vertical = !diagonal & (i > 0) & ((up <= left) | (j == 0));
+        i -= usize::from(diagonal | vertical);
+        j -= usize::from(!vertical);
+        path.push((i, j));
     }
+    dist
 }
 
 /// Outcome of a threshold-aware banded DTW evaluation.
@@ -258,13 +250,17 @@ impl BoundedDistance {
 }
 
 /// The one DTW dynamic program: [`dtw`] runs it over the full matrix,
-/// [`dtw_banded`] over the Sakoe–Chiba band and FastDTW's top level over
-/// its projected window.
+/// [`dtw_banded`] over the Sakoe–Chiba band, and FastDTW and
+/// [`dtw_with_path`] over their windows.
 ///
-/// `range_at(i)` yields row `i`'s inclusive column range. The ranges are
-/// written into `scratch` once per call, and they must be monotone (both
-/// edges non-decreasing in `i`), start at column 0 and end at the last
-/// column, as every [`SearchWindow`]'s are.
+/// `rows` yields each row's inclusive column range, in row order, one per
+/// row of `x`. The ranges must be monotone (both edges non-decreasing),
+/// start at column 0 and end at the last column, as every
+/// [`crate::window::SearchWindow`]'s and Sakoe–Chiba band's are. Two clones of `rows`
+/// follow the wavefront — one on its first row, one on the row after its
+/// last — and each takes a row's range only when the wavefront reaches
+/// that row, so an evaluation abandoned in row 0 walks only the first
+/// few, and `scratch.row_min` grows only to the rows reached.
 ///
 /// # Anti-diagonal order
 ///
@@ -277,7 +273,10 @@ impl BoundedDistance {
 /// form an interval `[a, b]`, because `i + lo_i` and `i + hi_i` both grow
 /// strictly with `i`; each end moves by at most one row per anti-diagonal,
 /// and the interval is empty (`b = a − 1`) where consecutive rows' column
-/// ranges do not overlap, e.g. radius 0 with `M ≥ 2N`.
+/// ranges do not overlap, e.g. radius 0 with `M ≥ 2N`. Row `a` leaves the
+/// interval after anti-diagonal `a + hi_a`, and row `b + 1` enters it on
+/// anti-diagonal `b + 1 + lo_{b+1}`; the two cursors keep just those two
+/// numbers.
 ///
 /// Instead of per-cell range guards, each anti-diagonal writes `+∞` into
 /// the slots of rows `a − 1` and `b + 1`. The next two anti-diagonals read
@@ -294,20 +293,27 @@ impl BoundedDistance {
 /// checks exactly this.
 ///
 /// With `ABANDON`, each row's minimum is folded as its cells are computed.
-/// Row `i` is complete after anti-diagonal `i + hi_i`, rows complete in
-/// order, and the first completed row whose minimum exceeds `abandon_above`
-/// (strictly) ends the evaluation with [`BoundedDistance::AboveThreshold`]
-/// carrying that minimum. Point costs are never negative and `f64::min`
-/// ignores NaN, so a row minimum does not depend on the order of its
-/// cells: the decision and the bound are those of the row-major rule
-/// [`dtw_banded`] documents. Without `ABANDON`, `abandon_above` is ignored
-/// and no minimum is folded. That is why the switch is a const parameter
-/// and not a run-time `Option`: folding the minima slows the no-threshold
-/// banded kernel by about 30% on 200-sample series.
-fn wavefront_dp<const ABANDON: bool>(
+/// Rows complete in order, and row `a` is complete after anti-diagonal
+/// `a + hi_a`; the first completed row whose minimum exceeds
+/// `abandon_above` (strictly) ends the evaluation with
+/// [`BoundedDistance::AboveThreshold`] carrying that minimum. Point costs
+/// are never negative and `f64::min` ignores NaN, so a row minimum does
+/// not depend on the order of its cells: the decision and the bound are
+/// those of the row-major rule [`dtw_banded`] documents. Without
+/// `ABANDON`, `abandon_above` is ignored and no minimum is folded. That is
+/// why the switch is a const parameter and not a run-time `Option`:
+/// folding the minima slows the no-threshold banded kernel by about 30% on
+/// 200-sample series.
+///
+/// With `KEEP`, every anti-diagonal's cells — exactly the window's cells
+/// on it — are appended to `scratch.cells` as one run, and
+/// `scratch.cell_runs` records each run's first row and offset, then one
+/// entry marking the end: the table [`path_dp`] backtracks through.
+/// `ABANDON` and `KEEP` are never both set.
+fn wavefront_dp<const ABANDON: bool, const KEEP: bool>(
     x: &[f64],
     y: &[f64],
-    range_at: impl Fn(usize) -> (usize, usize),
+    rows: impl Iterator<Item = (usize, usize)> + Clone,
     abandon_above: f64,
     scratch: &mut DtwScratch,
 ) -> BoundedDistance {
@@ -317,16 +323,26 @@ fn wavefront_dp<const ABANDON: bool>(
     );
     let (n, m) = (x.len(), y.len());
     let DtwScratch {
-        ranges,
         diagonals,
         row_min,
+        cells,
+        cell_runs,
         ..
     } = scratch;
-    ranges.clear();
-    ranges.extend((0..n).map(range_at));
+    // The last anti-diagonal of the wavefront's first row `a`, and the
+    // first of the row after its last, `b + 1` (`usize::MAX` past the
+    // last row).
+    let mut entering = rows.clone().skip(1);
+    let mut leaving = rows;
+    let mut a_last = leaving.next().map_or(usize::MAX, |(_, hi)| hi);
+    let mut b_next = entering.next().map_or(usize::MAX, |(lo, _)| 1 + lo);
     if ABANDON {
         row_min.clear();
-        row_min.resize(n, f64::INFINITY);
+        row_min.push(f64::INFINITY);
+    }
+    if KEEP {
+        cells.clear();
+        cell_runs.clear();
     }
     let slots = n + 2;
     if diagonals.len() < 3 * slots {
@@ -340,13 +356,18 @@ fn wavefront_dp<const ABANDON: bool>(
     d1[0] = f64::INFINITY;
     d1[1] = f64::INFINITY;
 
-    let (mut a, mut b, mut next_row) = (0usize, 0usize, 0usize);
+    let (mut a, mut b) = (0usize, 0usize);
     for d in 0..n + m - 1 {
-        if a + ranges[a].1 < d {
+        if a_last < d {
             a += 1;
+            a_last = leaving.next().map_or(usize::MAX, |(_, hi)| a + hi);
         }
-        if b + 1 < n && b + 1 + ranges[b + 1].0 <= d {
+        if b_next <= d {
             b += 1;
+            b_next = entering.next().map_or(usize::MAX, |(lo, _)| b + 1 + lo);
+            if ABANDON {
+                row_min.push(f64::INFINITY);
+            }
         }
         let len = b + 1 - a;
         let xs = &x[a..a + len];
@@ -366,13 +387,17 @@ fn wavefront_dp<const ABANDON: bool>(
         }
         d0[a] = f64::INFINITY;
         d0[a + len + 1] = f64::INFINITY;
-        if ABANDON && next_row + ranges[next_row].1 == d {
-            if row_min[next_row] > abandon_above {
-                return BoundedDistance::AboveThreshold(row_min[next_row]);
-            }
-            next_row += 1;
+        if KEEP {
+            cell_runs.push((a, cells.len()));
+            cells.extend_from_slice(&d0[a + 1..a + 1 + len]);
+        }
+        if ABANDON && a_last == d && row_min[a] > abandon_above {
+            return BoundedDistance::AboveThreshold(row_min[a]);
         }
         (d2, d1, d0) = (d1, d0, d2);
+    }
+    if KEEP {
+        cell_runs.push((n, cells.len()));
     }
     BoundedDistance::Exact(d1[n])
 }
@@ -489,10 +514,14 @@ mod tests {
     fn windowed_full_window_matches() {
         let a = [1.0, 2.0, 0.0, 4.0];
         let b = [0.0, 2.0, 2.0, 3.0, 4.0];
-        let w = SearchWindow::full(a.len(), b.len());
+        let w = vec![(0, b.len() - 1); a.len()];
         let d = dtw_windowed(&a, &b, &w, &mut DtwScratch::new());
         assert_eq!(d, exact_of(&a, &b));
-        assert_eq!(d, dtw_windowed_with_path(&a, &b, &w).0);
+        let mut path = Vec::new();
+        let with_path = windowed_path(&a, &b, &w, &mut DtwScratch::new(), &mut path);
+        assert_eq!(d, with_path);
+        path.reverse();
+        assert_eq!(path, dtw_with_path(&a, &b).1);
     }
 
     #[test]

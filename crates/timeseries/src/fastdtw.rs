@@ -10,14 +10,22 @@
 //! 4. Run the dynamic program of [`crate::dtw`] inside the expanded
 //!    window.
 //!
+//! Every level runs the crate's one wavefront DP out of the caller's
+//! [`DtwScratch`], and the coarsened series, warp paths and windows of all
+//! levels live in its buffers too. The coarse levels need a warp path, so
+//! they keep their windowed cells in the scratch's flat cell table and
+//! backtrack through it with the diagonal-first rule; the
+//! full-resolution level of [`fast_dtw`] needs only the distance and
+//! keeps none.
+//!
 //! With radius 1 the approximation error is typically below 1% — the
 //! figure the paper quotes when arguing FastDTW is accurate enough for
 //! Sybil detection.
 
-use crate::dtw::{dtw, dtw_windowed, dtw_windowed_with_path, dtw_with_path};
+use crate::dtw::{dtw, dtw_windowed, exact_path, windowed_path};
 use crate::scratch::DtwScratch;
-use crate::series::{coarsen, coarsen_into};
-use crate::window::SearchWindow;
+use crate::series::coarsen_to;
+use crate::window::expand_half_resolution;
 
 /// Minimum series length below which FastDTW falls back to exact DTW.
 ///
@@ -33,13 +41,13 @@ fn min_ts_size(radius: usize) -> usize {
 /// to exact DTW. The distance uses the same squared-cost convention as
 /// [`crate::dtw::dtw`], so values are directly comparable.
 ///
-/// The full-resolution level — which dominates both time and memory —
-/// runs the crate's one DP inside the projected window, out of
-/// `scratch`, and the top-level coarsened copies of both series live in
-/// pooled scratch buffers. The coarser levels find their warp paths with
-/// [`fast_dtw_with_path`] (they must keep DP tables to backtrack), so the
-/// distance equals `fast_dtw_with_path(x, y, radius).0`. Short series fall
-/// back to [`crate::dtw::dtw`] on the same scratch.
+/// The coarse levels find their warp paths exactly as
+/// [`fast_dtw_with_path`] does, and the full-resolution level — which
+/// dominates both time and memory — runs the DP inside the projected
+/// window without keeping its cells, so the distance equals
+/// `fast_dtw_with_path(x, y, radius).0`. Every buffer, the coarsened
+/// series included, comes from `scratch`. Short series fall back to
+/// [`crate::dtw::dtw`] on the same scratch.
 ///
 /// # Panics
 ///
@@ -67,16 +75,11 @@ pub fn fast_dtw(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch) -
     if x.len() <= min_size || y.len() <= min_size {
         return dtw(x, y, scratch);
     }
-    let mut coarse_x = std::mem::take(&mut scratch.coarse_x);
-    let mut coarse_y = std::mem::take(&mut scratch.coarse_y);
-    coarsen_into(x, &mut coarse_x);
-    coarsen_into(y, &mut coarse_y);
-    let (_, coarse_path) = fast_dtw_with_path(&coarse_x, &coarse_y, radius);
-    let coarse_window = window_from_path(&coarse_path, coarse_y.len());
-    scratch.coarse_x = coarse_x;
-    scratch.coarse_y = coarse_y;
-    let window = coarse_window.expand_from_half_resolution(x.len(), y.len(), radius);
-    dtw_windowed(x, y, &window, scratch)
+    let mut window = std::mem::take(&mut scratch.window);
+    project_coarse_levels(x, y, radius, scratch, &mut window);
+    let dist = dtw_windowed(x, y, &window, scratch);
+    scratch.window = window;
+    dist
 }
 
 /// FastDTW distance together with the warp path it found.
@@ -94,35 +97,121 @@ pub fn fast_dtw_with_path(x: &[f64], y: &[f64], radius: usize) -> (f64, Vec<(usi
         "fast_dtw requires non-empty series"
     );
     let min_size = min_ts_size(radius);
-    if x.len() <= min_size || y.len() <= min_size {
-        return dtw_with_path(x, y);
-    }
-    let cx = coarsen(x);
-    let cy = coarsen(y);
-    let (_, coarse_path) = fast_dtw_with_path(&cx, &cy, radius);
-    let coarse_window = window_from_path(&coarse_path, cy.len());
-    let window = coarse_window.expand_from_half_resolution(x.len(), y.len(), radius);
-    dtw_windowed_with_path(x, y, &window)
+    let mut scratch = DtwScratch::new();
+    let mut path = Vec::new();
+    let dist = if x.len() <= min_size || y.len() <= min_size {
+        exact_path(x, y, &mut scratch, &mut path)
+    } else {
+        let mut window = Vec::new();
+        project_coarse_levels(x, y, radius, &mut scratch, &mut window);
+        windowed_path(x, y, &window, &mut scratch, &mut path)
+    };
+    path.reverse();
+    (dist, path)
 }
 
-/// Converts a coarse warp path into a per-row search window covering
-/// exactly the path's cells.
-// vp-lint: allow(panic-reachability) — warp-path row indices are <= the last row index that sized `ranges`
-fn window_from_path(path: &[(usize, usize)], cols: usize) -> SearchWindow {
-    let rows = path.last().map(|&(i, _)| i + 1).unwrap_or(1);
-    let mut ranges = vec![(usize::MAX, 0usize); rows];
+/// Runs FastDTW's coarse levels for `x × y` and writes the window they
+/// project onto it into `window`, one column range per element of `x`.
+///
+/// Level 0 is the pair itself and level `k + 1` coarsens level `k`; the
+/// coarsest level is the first at or below the minimum size, where exact
+/// DTW finds the warp path. Going back up, each level's path is projected
+/// to the next finer level and expanded by `radius`, and every level but
+/// level 0 finds its own path inside that window. All levels live in the
+/// scratch's pyramid buffers, one after another.
+// vp-lint: allow(panic-reachability) — each level's span lies within the pyramid built above it; at most usize::BITS levels, since every level halves
+fn project_coarse_levels(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+    scratch: &mut DtwScratch,
+    window: &mut Vec<(usize, usize)>,
+) {
+    let min_size = min_ts_size(radius);
+    let mut px = std::mem::take(&mut scratch.pyramid_x);
+    let mut py = std::mem::take(&mut scratch.pyramid_y);
+    let mut path = std::mem::take(&mut scratch.path);
+    let mut coarse = std::mem::take(&mut scratch.path_rows);
+    // Level k's samples are px[xs..xs + n] and py[ys..ys + m] for
+    // `spans[k] = (xs, n, ys, m)`.
+    let mut spans = [(0usize, 0usize, 0usize, 0usize); usize::BITS as usize];
+    px.clear();
+    px.extend_from_slice(x);
+    py.clear();
+    py.extend_from_slice(y);
+    spans[0] = (0, x.len(), 0, y.len());
+    let mut coarsest = 0;
+    loop {
+        let (xs, n, ys, m) = spans[coarsest];
+        coarsest += 1;
+        spans[coarsest] = (
+            coarsen_level(&mut px, xs, n),
+            n.div_ceil(2),
+            coarsen_level(&mut py, ys, m),
+            m.div_ceil(2),
+        );
+        if n.div_ceil(2) <= min_size || m.div_ceil(2) <= min_size {
+            break;
+        }
+    }
+    let level = |k: usize| {
+        let (xs, n, ys, m) = spans[k];
+        (&px[xs..xs + n], &py[ys..ys + m])
+    };
+    let (cx, cy) = level(coarsest);
+    exact_path(cx, cy, scratch, &mut path);
+    for k in (0..coarsest).rev() {
+        let (fx, fy) = level(k);
+        project_path(
+            &path,
+            level(k + 1).0.len(),
+            fx.len(),
+            fy.len(),
+            radius,
+            &mut coarse,
+            window,
+        );
+        if k > 0 {
+            windowed_path(fx, fy, window, scratch, &mut path);
+        }
+    }
+    scratch.pyramid_x = px;
+    scratch.pyramid_y = py;
+    scratch.path = path;
+    scratch.path_rows = coarse;
+}
+
+/// Appends the coarsened `buf[start..start + len]` to `buf` and returns
+/// where it starts.
+fn coarsen_level(buf: &mut Vec<f64>, start: usize, len: usize) -> usize {
+    let at = buf.len();
+    buf.resize(at + len.div_ceil(2), 0.0);
+    let (levels, next) = buf.split_at_mut(at);
+    coarsen_to(&levels[start..start + len], next);
+    at
+}
+
+/// Projects a coarse warp path (any step order) onto the finer
+/// `rows × cols` level: the window covering exactly the path's cells,
+/// row by row, expanded from half resolution by `radius` into `window`.
+// vp-lint: allow(panic-reachability) — warp-path rows are below `coarse_rows`, the length `coarse` is resized to
+fn project_path(
+    path: &[(usize, usize)],
+    coarse_rows: usize,
+    rows: usize,
+    cols: usize,
+    radius: usize,
+    coarse: &mut Vec<(usize, usize)>,
+    window: &mut Vec<(usize, usize)>,
+) {
+    coarse.clear();
+    coarse.resize(coarse_rows, (usize::MAX, 0));
     for &(i, j) in path {
-        let r = &mut ranges[i];
+        let r = &mut coarse[i];
         r.0 = r.0.min(j);
         r.1 = r.1.max(j);
     }
-    // A warp path visits every row, so all ranges are initialised; the
-    // path's endpoints guarantee the corner anchoring `from_ranges` checks.
-    match SearchWindow::from_ranges(cols, ranges) {
-        Ok(w) => w,
-        // vp-lint: allow(forbidden-panic) — loud invariant guard; see comment above the match
-        Err(_) => unreachable!("warp path always forms a valid window"),
-    }
+    expand_half_resolution(coarse, rows, cols, radius, window);
 }
 
 #[cfg(test)]

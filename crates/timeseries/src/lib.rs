@@ -10,16 +10,16 @@
 //! * [`distance`] — Lp norms (Eq. 2), Euclidean, Manhattan, Chebyshev.
 //! * [`dtw`] — Dynamic Time Warping with squared point costs (Eq. 3–6):
 //!   one anti-diagonal (wavefront) dynamic program serves the exact,
-//!   Sakoe–Chiba banded and FastDTW distances; warp-path extraction keeps
-//!   its own table.
+//!   Sakoe–Chiba banded and FastDTW distances and their warp paths.
 //! * [`window`] — sparse search windows for constrained DTW and the
-//!   integer Sakoe–Chiba band edges.
+//!   integer Sakoe–Chiba band edges, walked row by row.
 //! * [`fastdtw`] — the linear-time FastDTW approximation
 //!   (Salvador & Chan, reference [24] of the paper) used by the detector.
 //! * [`scratch`] — reusable working memory ([`DtwScratch`]) that every
 //!   distance kernel takes, so a sweep allocates once per worker thread.
 //! * [`lowerbound`] — LB_Keogh-style lower bounds that let a comparison
-//!   engine skip or abandon provably above-threshold DTW evaluations.
+//!   engine skip provably above-threshold DTW evaluations, read from
+//!   per-series envelope tables that serve partners of any length.
 //! * [`sketch`] — constant-cost piecewise envelope sketches whose
 //!   admissible pair bound triages the N² sweep before LB_Keogh runs.
 //!
@@ -52,7 +52,7 @@ pub mod window;
 
 pub use dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
 pub use fastdtw::{fast_dtw, fast_dtw_with_path};
-pub use lowerbound::lb_keogh_banded;
+pub use lowerbound::{lb_keogh_banded, lb_keogh_envelope, KeoghEnvelope};
 pub use normalize::{min_max_normalize, z_score_enhanced};
 pub use scratch::DtwScratch;
 pub use series::Series;

@@ -3,12 +3,15 @@
 //! Every distance kernel in this crate — [`crate::dtw::dtw`],
 //! [`crate::dtw::dtw_banded`], [`crate::fastdtw::fast_dtw`] and
 //! [`crate::lowerbound::lb_keogh_banded`] — takes its working memory from
-//! a [`DtwScratch`]: the DP's per-row column ranges, its last three
-//! anti-diagonals and the per-row minima of its abandon rule; monotonic
-//! deques and buffers for the LB_Keogh envelope; and (for FastDTW)
-//! buffers holding the coarsened series. A caller that measures many
-//! pairs — the comparison phase visits `n·(n−1)/2` of them per detection
-//! period — allocates once per worker thread instead of once per pair.
+//! a [`DtwScratch`]: the DP's last three anti-diagonals and the per-row
+//! minima of its abandon rule (filled only up to the rows the wavefront
+//! reaches); the flat table of windowed cells that FastDTW's coarse
+//! levels backtrack through, and their coarsened series, paths and
+//! windows; and the LB_Keogh envelope tables with the stack that builds
+//! them. A caller that measures
+//! many pairs — the comparison phase visits `n·(n−1)/2` of them per
+//! detection period — allocates once per worker thread instead of once
+//! per pair.
 //!
 //! # Lifetime rules
 //!
@@ -24,30 +27,36 @@
 //!   worker thread its own (see `vp-par`'s per-worker `init`), never one
 //!   scratch to two threads.
 
-use std::collections::VecDeque;
+use crate::lowerbound::KeoghEnvelope;
 
 /// Reusable working memory for the DTW kernels; see the module docs for
 /// the lifetime rules.
 #[derive(Debug, Clone, Default)]
 pub struct DtwScratch {
-    /// Per-row inclusive column ranges of the DP's window.
-    pub(crate) ranges: Vec<(usize, usize)>,
     /// The DP's last three anti-diagonals, `N + 2` row slots each.
     pub(crate) diagonals: Vec<f64>,
     /// Per-row minima of the DP's early-abandon rule.
     pub(crate) row_min: Vec<f64>,
-    /// Monotonic deque of candidate minima for the LB_Keogh envelope.
-    pub(crate) deq_min: VecDeque<usize>,
-    /// Monotonic deque of candidate maxima for the LB_Keogh envelope.
-    pub(crate) deq_max: VecDeque<usize>,
-    /// FastDTW coarsened copy of the first series.
-    pub(crate) coarse_x: Vec<f64>,
-    /// FastDTW coarsened copy of the second series.
-    pub(crate) coarse_y: Vec<f64>,
-    /// Materialised per-row envelope maxima for LB_Keogh.
-    pub(crate) env_hi: Vec<f64>,
-    /// Materialised per-row envelope minima for LB_Keogh.
-    pub(crate) env_lo: Vec<f64>,
+    /// A path-keeping DP's windowed cells, anti-diagonal after
+    /// anti-diagonal.
+    pub(crate) cells: Vec<f64>,
+    /// Per anti-diagonal of a path-keeping DP: its first row and where its
+    /// cells start in `cells`, then one entry marking the end.
+    pub(crate) cell_runs: Vec<(usize, usize)>,
+    /// FastDTW's warp path of the current level, last step first.
+    pub(crate) path: Vec<(usize, usize)>,
+    /// FastDTW's per-row extent of a coarse warp path.
+    pub(crate) path_rows: Vec<(usize, usize)>,
+    /// FastDTW's projected window of the current level.
+    pub(crate) window: Vec<(usize, usize)>,
+    /// FastDTW's coarsening pyramid of the first series, level after level.
+    pub(crate) pyramid_x: Vec<f64>,
+    /// FastDTW's coarsening pyramid of the second series.
+    pub(crate) pyramid_y: Vec<f64>,
+    /// LB_Keogh envelope tables of the last partner series.
+    pub(crate) envelope: KeoghEnvelope,
+    /// Monotonic stack that builds the envelope tables.
+    pub(crate) stack: Vec<usize>,
 }
 
 impl DtwScratch {
@@ -57,18 +66,12 @@ impl DtwScratch {
     }
 
     /// A scratch preallocated for series up to `max_len` samples, so the
-    /// first calls do not grow buffers either.
+    /// first distance calls do not grow buffers either.
     pub fn with_capacity(max_len: usize) -> Self {
         DtwScratch {
-            ranges: Vec::with_capacity(max_len),
             diagonals: Vec::with_capacity(3 * (max_len + 2)),
             row_min: Vec::with_capacity(max_len),
-            deq_min: VecDeque::with_capacity(max_len),
-            deq_max: VecDeque::with_capacity(max_len),
-            coarse_x: Vec::with_capacity(max_len / 2 + 1),
-            coarse_y: Vec::with_capacity(max_len / 2 + 1),
-            env_hi: Vec::with_capacity(max_len),
-            env_lo: Vec::with_capacity(max_len),
+            ..DtwScratch::default()
         }
     }
 }
@@ -124,10 +127,9 @@ mod tests {
         let x = wave(300, 0.0);
         let y = wave(280, 0.4);
         let _ = dtw(&x, &y, &mut scratch);
-        // Three anti-diagonals of N + 2 row slots and one range per row.
+        // Three anti-diagonals of N + 2 row slots.
         let cap = scratch.diagonals.capacity();
         assert!(cap >= 3 * 302);
-        assert!(scratch.ranges.capacity() >= 300);
         // A smaller problem must not shrink the buffers.
         let _ = dtw(&wave(5, 0.0), &wave(4, 0.1), &mut scratch);
         assert!(scratch.diagonals.capacity() >= cap);
@@ -136,13 +138,7 @@ mod tests {
     #[test]
     fn with_capacity_avoids_growth() {
         let mut scratch = DtwScratch::with_capacity(256);
-        let capacities = |s: &DtwScratch| {
-            [
-                s.ranges.capacity(),
-                s.diagonals.capacity(),
-                s.row_min.capacity(),
-            ]
-        };
+        let capacities = |s: &DtwScratch| [s.diagonals.capacity(), s.row_min.capacity()];
         let before = capacities(&scratch);
         let (x, y) = (wave(256, 0.0), wave(256, 0.3));
         let _ = dtw(&x, &y, &mut scratch);

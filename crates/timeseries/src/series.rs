@@ -129,22 +129,22 @@ impl Extend<f64> for Series {
 ///
 /// Returns an empty vector for empty input.
 pub fn coarsen(values: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(values.len().div_ceil(2));
-    coarsen_into(values, &mut out);
+    let mut out = vec![0.0; values.len().div_ceil(2)];
+    coarsen_to(values, &mut out);
     out
 }
 
-/// Allocation-reusing form of [`coarsen`]: clears `out` and fills it with
-/// the coarsened series, growing its capacity only when needed.
-pub fn coarsen_into(values: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(values.len().div_ceil(2));
-    let mut chunks = values.chunks_exact(2);
-    for pair in &mut chunks {
-        out.push((pair[0] + pair[1]) / 2.0);
+/// [`coarsen`] into `out`, which holds `values.len().div_ceil(2)` samples:
+/// FastDTW builds its coarsening pyramid with it, level after level in one
+/// buffer.
+// vp-lint: allow(panic-reachability) — a non-empty remainder means `out` holds its last, odd sample
+pub(crate) fn coarsen_to(values: &[f64], out: &mut [f64]) {
+    let mut pairs = values.chunks_exact(2);
+    for (o, pair) in out.iter_mut().zip(&mut pairs) {
+        *o = (pair[0] + pair[1]) / 2.0;
     }
-    if let [last] = chunks.remainder() {
-        out.push(*last);
+    if let [last] = pairs.remainder() {
+        out[values.len() / 2] = *last;
     }
 }
 
@@ -178,19 +178,6 @@ mod tests {
     fn coarsen_odd_length_keeps_tail() {
         assert_eq!(coarsen(&[1.0, 3.0, 10.0]), vec![2.0, 10.0]);
         assert_eq!(coarsen(&[4.0]), vec![4.0]);
-    }
-
-    #[test]
-    fn coarsen_into_reuses_buffer() {
-        let mut buf = vec![9.0; 8];
-        coarsen_into(&[1.0, 3.0, 5.0, 7.0], &mut buf);
-        assert_eq!(buf, vec![2.0, 6.0]);
-        let cap = buf.capacity();
-        coarsen_into(&[4.0], &mut buf);
-        assert_eq!(buf, vec![4.0]);
-        assert_eq!(buf.capacity(), cap);
-        coarsen_into(&[], &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!    `tests/oracle/mod.rs` **bit for bit** on these cases, including on
 //!    non-finite inputs. `tests/kernel_oracle.rs` runs the wider
 //!    adversarial sweep, where only the NaN's sign may differ.
+//! 4. A pruned sweep — sketch triage, LB_Keogh read from per-sweep
+//!    envelope tables, abandoning DP — stores, for every pair, **the
+//!    bits** a pair-by-pair reference built from the public kernels
+//!    stores.
 
 mod oracle;
 
@@ -18,8 +22,9 @@ use oracle::{scalar_banded, scalar_exact, scalar_lb_keogh};
 use voiceprint::comparator::{compare, compare_with_cache, ComparisonConfig};
 use voiceprint::ComparisonCache;
 use vp_stats::rng::SplitMix64;
-use vp_timeseries::dtw::{dtw, dtw_banded};
+use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
 use vp_timeseries::lowerbound::lb_keogh_banded;
+use vp_timeseries::normalize::z_score_enhanced;
 use vp_timeseries::scratch::DtwScratch;
 use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch};
 
@@ -187,4 +192,92 @@ fn unrolled_kernels_match_scalar_on_arbitrary_bit_patterns() {
         let lb_x4 = lb_keogh_banded(&x, &y, radius, &mut scratch);
         assert_eq!(lb_scalar.to_bits(), lb_x4.to_bits(), "case {case}");
     }
+}
+
+/// One pair of a pruned banded sweep, stage by stage from the public
+/// kernels: the sketch bound, then `lb_keogh_banded`, then the abandoning
+/// `dtw_banded`, each against the threshold in raw-cost units, and the
+/// per-step division of the calibrated configuration.
+fn cascade_reference(a: &[f64], b: &[f64], band_fraction: f64, threshold: f64) -> f64 {
+    let max_len = a.len().max(b.len());
+    let radius = ((max_len as f64 * band_fraction).ceil() as usize).max(3);
+    let t_raw = threshold * max_len as f64;
+    let slb = sketch_lower_bound(&SeriesSketch::build(a), &SeriesSketch::build(b), radius);
+    let raw = if slb > t_raw {
+        slb
+    } else {
+        let lb = lb_keogh_banded(a, b, radius, &mut DtwScratch::new());
+        if lb > t_raw {
+            lb
+        } else {
+            match dtw_banded(a, b, radius, Some(t_raw), &mut DtwScratch::new()) {
+                BoundedDistance::Exact(d) | BoundedDistance::AboveThreshold(d) => d,
+            }
+        }
+    };
+    raw / max_len as f64
+}
+
+/// Every stored distance of a pruned sweep equals the pair-by-pair
+/// reference, bit for bit, on the sliding-window populations above and on
+/// RSSI-like series of mixed lengths — so partners of every length read
+/// the same envelope a per-pair LB_Keogh builds, at every band radius the
+/// sweep uses.
+#[test]
+fn pruned_sweeps_equal_the_pair_by_pair_cascade() {
+    let (mut triaged, mut lb_pruned, mut abandoned, mut exact) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(case + 500);
+        let n_ids = rng.range_u64(4..12);
+        let population: Vec<(u64, Vec<f64>)> = if case % 2 == 0 {
+            window_series(rng.range_u64(0..500), rng.range_u64(0..4), n_ids)
+        } else {
+            (0..n_ids)
+                .map(|id| {
+                    let len = rng.range_usize(100..241);
+                    let mut level = rng.range_f64(-90.0..-50.0);
+                    let s = (0..len)
+                        .map(|_| {
+                            level += rng.range_f64(-1.5..1.5);
+                            level
+                        })
+                        .collect();
+                    (id, s)
+                })
+                .collect()
+        };
+        let band_fraction = [0.05, 0.025, 0.1][case as usize % 3];
+        let threshold = rng.range_f64(0.001..0.3);
+        let cfg = ComparisonConfig {
+            measure: voiceprint::DistanceMeasure::BandedDtw { band_fraction },
+            prune_threshold: Some(threshold),
+            ..ComparisonConfig::default()
+        };
+        let (pd, counters) = compare_with_cache(&population, &cfg, &mut ComparisonCache::new(256));
+        assert_eq!(pd.len(), population.len(), "case {case}");
+        triaged += counters.triage_rejected;
+        lb_pruned += counters.pruned_lb;
+        abandoned += counters.pruned_abandon;
+        let prepared: Vec<Vec<f64>> = population
+            .iter()
+            .map(|(_, s)| z_score_enhanced(s))
+            .collect();
+        for i in 0..prepared.len() {
+            for j in (i + 1)..prepared.len() {
+                let reference =
+                    cascade_reference(&prepared[i], &prepared[j], band_fraction, threshold);
+                assert_eq!(
+                    pd.raw_between(i, j).to_bits(),
+                    reference.to_bits(),
+                    "case {case}, pair ({i}, {j})"
+                );
+                exact += usize::from(reference <= threshold);
+            }
+        }
+    }
+    // Every stage decided some pairs, and some pairs stayed exact.
+    assert!(
+        triaged > 0 && lb_pruned > 0 && abandoned > 0 && exact > 0,
+        "triage {triaged}, LB {lb_pruned}, abandon {abandoned}, exact {exact}"
+    );
 }

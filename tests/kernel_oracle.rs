@@ -20,7 +20,17 @@
 //! 6. the shapes the wavefront order makes special: empty anti-diagonals,
 //!    one row or one column, an unbounded radius, an abandon decided in
 //!    the first or the last row, and a scratch dirtied by a larger
-//!    problem.
+//!    problem;
+//! 7. LB_Keogh read from prebuilt envelope tables (`KeoghEnvelope`,
+//!    `lb_keogh_envelope`) against the scalar LB_Keogh, one table serving
+//!    partners of every length, on the shapes where a row's envelope is a
+//!    corner or the whole partner;
+//! 8. the walked band edges (`SakoeChibaEdges`) against
+//!    `sakoe_chiba_range` on the grid of item 5 and past `usize::MAX`
+//!    cells;
+//! 9. `dtw_with_path`, `fast_dtw_with_path` and `fast_dtw` against the
+//!    row-major path DP and FastDTW's recursion around it: the distance,
+//!    and the warp path step for step.
 //!
 //! The contract is every non-NaN bit, and NaN exactly where the oracle
 //! gives NaN. The NaN's sign bit is not part of it: an `∞ − ∞` NaN can
@@ -31,12 +41,15 @@
 
 mod oracle;
 
-use oracle::{float_band, scalar_banded, scalar_exact, scalar_lb_keogh};
+use oracle::{
+    float_band, scalar_banded, scalar_exact, scalar_fast_dtw_with_path, scalar_lb_keogh,
+    scalar_windowed_path,
+};
 use vp_stats::rng::SplitMix64;
-use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
+use vp_timeseries::dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
 use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
-use vp_timeseries::lowerbound::lb_keogh_banded;
-use vp_timeseries::window::sakoe_chiba_range;
+use vp_timeseries::lowerbound::{lb_keogh_banded, lb_keogh_envelope, KeoghEnvelope};
+use vp_timeseries::window::{sakoe_chiba_range, SakoeChibaEdges};
 use vp_timeseries::DtwScratch;
 
 /// Seeded cases in the adversarial sweep.
@@ -417,4 +430,155 @@ fn wavefront_shapes_match_the_oracles() {
         assert_same_bounded(last, scalar_banded(&x, &y, radius, Some(1.0)), &what);
         check_banded(&x, &y, radius, &mut scratch, &what);
     }
+}
+
+// ---------------------------------------------------------------------
+// Envelope tables, walked band edges and warp paths.
+// ---------------------------------------------------------------------
+
+/// `n` samples of `rng` in `[-6, 6)`, with `bad` written at the positions
+/// `at` that exist.
+fn with_bad(rng: &mut SplitMix64, n: usize, bad: f64, at: &[usize]) -> Vec<f64> {
+    let mut v = uniform(rng, n, -6.0, 6.0);
+    for &k in at {
+        if k < n {
+            v[k] = bad;
+        }
+    }
+    v
+}
+
+#[test]
+fn envelope_tables_match_the_scalar_lb() {
+    let mut rng = SplitMix64::seed_from_u64(77);
+    let mut scratch = DtwScratch::new();
+    // Partner lengths around each table's: one row, one column, equal,
+    // and `cols ≥ 2·rows` either way round.
+    let lengths = [1usize, 2, 3, 5, 8, 13, 40, 81, 160];
+    for &m in &lengths {
+        for bad in [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // A bad sample at both ends and inside (only `0.5` is clean).
+            let y = with_bad(&mut rng, m, bad, &[0, m / 2, m - 1]);
+            for radius in [0usize, 1, 2, 7, m, m + 5, usize::MAX] {
+                let table = KeoghEnvelope::build(&y, radius);
+                assert_eq!((table.len(), table.radius()), (m, radius));
+                for &n in &lengths {
+                    let x = with_bad(&mut rng, n, bad, &[n / 3]);
+                    let what = format!("{n}x{m} r={radius} bad={bad}");
+                    let oracle = scalar_lb_keogh(&x, &y, radius);
+                    assert_same(lb_keogh_envelope(&x, &table), oracle, &what);
+                    assert_same(lb_keogh_banded(&x, &y, radius, &mut scratch), oracle, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn walked_edges_match_the_definition() {
+    // The grid of `band_edges_match_the_float_form`.
+    let widths = (1..=12)
+        .chain(186..=201)
+        .chain([31, 64, 97, 255, 260, 261, 400, 1000]);
+    let mut rows_checked = 0usize;
+    for m in widths {
+        for n in 1..=260usize {
+            for radius in [0, 1, 2, 3, 5, 10, 11, 40, n + m, usize::MAX / 2, usize::MAX] {
+                let walked = SakoeChibaEdges::new(n, m, radius);
+                assert_eq!(walked.len(), n);
+                for (i, edges) in walked.enumerate() {
+                    assert_eq!(
+                        edges,
+                        sakoe_chiba_range(n, m, radius, i),
+                        "row {i} of {n}x{m}, radius {radius}"
+                    );
+                }
+                rows_checked += n;
+            }
+        }
+    }
+    assert_eq!(rows_checked, 36 * 11 * (260 * 261 / 2));
+    // Past `usize::MAX` cells the first row's quotient takes 128 bits;
+    // the walk from there adds only.
+    let big = 1usize << (usize::BITS - 8);
+    for (n, m, radius) in [(big, big, 0), (big, 2 * big - 1, 1), (big, 3 * big + 5, 7)] {
+        let walked: Vec<_> = SakoeChibaEdges::starting_at(n, m, radius, n - 9).collect();
+        let direct: Vec<_> = (n - 9..n)
+            .map(|i| sakoe_chiba_range(n, m, radius, i))
+            .collect();
+        assert_eq!(walked, direct, "{n}x{m}, radius {radius}");
+    }
+    assert_eq!(
+        SakoeChibaEdges::starting_at(big, big, 0, big - 7).next(),
+        Some((big - 7, big - 7))
+    );
+}
+
+/// The path kernels on one pair: `dtw_with_path` against the path oracle
+/// over the full window, and `fast_dtw_with_path` and `fast_dtw` at
+/// `radius` against FastDTW's recursion around it.
+fn check_paths(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch, what: &str) {
+    let full = vec![(0, y.len() - 1); x.len()];
+    let (d, path) = dtw_with_path(x, y);
+    let (od, opath) = scalar_windowed_path(x, y, &full);
+    assert_same(d, od, &format!("{what}: dtw_with_path"));
+    assert_eq!(path, opath, "{what}: dtw_with_path");
+    let (d, path) = fast_dtw_with_path(x, y, radius);
+    let (od, opath) = scalar_fast_dtw_with_path(x, y, radius);
+    assert_same(d, od, &format!("{what}: fast_dtw_with_path r={radius}"));
+    assert_eq!(path, opath, "{what}: fast_dtw_with_path r={radius}");
+    assert_same(
+        fast_dtw(x, y, radius, scratch),
+        od,
+        &format!("{what}: fast_dtw r={radius}"),
+    );
+}
+
+#[test]
+fn path_kernels_match_the_path_oracle() {
+    let mut scratch = DtwScratch::new();
+    for case in 0..400u64 {
+        let mut rng = SplitMix64::seed_from_u64(case + 10_000);
+        let max_len = if case % 3 == 0 { 12 } else { 201 };
+        let n = rng.range_usize(1..max_len);
+        let m = rng.range_usize(1..max_len);
+        // One case in eight: raw bit patterns; otherwise a quarter of the
+        // walks carry ~3% NaN/±∞ samples.
+        let raw = case % 8 == 7;
+        let bad = if rng.range_u64(0..4) == 0 { 30 } else { 0 };
+        let x = hostile_series(&mut rng, n, raw, bad);
+        let y = hostile_series(&mut rng, m, raw, bad);
+        let radius = rng.range_usize(0..4);
+        check_paths(
+            &x,
+            &y,
+            radius,
+            &mut scratch,
+            &format!("case {case} ({n}x{m})"),
+        );
+    }
+    // The comparator's lengths, lengths straddling the minimum size, and
+    // skewed shapes whose projected windows are one column wide.
+    let mut rng = SplitMix64::seed_from_u64(31);
+    for (n, m) in [
+        (186, 200),
+        (200, 200),
+        (3, 3),
+        (4, 4),
+        (5, 4),
+        (2, 90),
+        (90, 2),
+        (7, 160),
+    ] {
+        let x = uniform(&mut rng, n, -5.0, 5.0);
+        let y = uniform(&mut rng, m, -5.0, 5.0);
+        for radius in [0, 1, 2, 5, 300] {
+            check_paths(&x, &y, radius, &mut scratch, &format!("shape {n}x{m}"));
+        }
+    }
+    // Every DP cell NaN: every backtracking comparison is false.
+    let clean = uniform(&mut rng, 40, -5.0, 5.0);
+    let all_nan = vec![f64::NAN; 37];
+    check_paths(&clean, &all_nan, 1, &mut scratch, "all NaN");
+    check_paths(&all_nan, &clean, 1, &mut scratch, "all NaN");
 }

@@ -1,17 +1,22 @@
 //! Test-only scalar references for the distance kernels.
 //!
-//! `vp-timeseries` computes every DTW distance with one anti-diagonal
-//! (wavefront) dynamic program over integer band edges, and every LB_Keogh
-//! bound with one clamped-gap form (DESIGN.md §14). This module keeps the
-//! textbook forms — the row-major scalar DP with its early-abandon rule,
-//! the per-row branch LB_Keogh, and the `f64` Sakoe–Chiba band edges both
-//! of them run on — with their own buffers.
+//! `vp-timeseries` computes every DTW distance and warp path with one
+//! anti-diagonal (wavefront) dynamic program over walked integer band
+//! edges, and every LB_Keogh bound by reading per-series envelope tables
+//! (DESIGN.md §14). This module keeps the textbook forms — the row-major
+//! scalar DP with its early-abandon rule, the per-row branch LB_Keogh with
+//! its deque envelope, the `f64` Sakoe–Chiba band edges both of them run
+//! on, and the row-major path DP with FastDTW's recursion around it — with
+//! their own buffers.
 //!
 //! `tests/kernel_oracle.rs` runs the adversarial sweep against them;
 //! `tests/comparison_cascade.rs` and `tests/pipeline_properties.rs` run
 //! their RSSI-like and raw-bit cases against them.
 
+#![allow(dead_code)] // each test binary uses its own subset
+
 use vp_timeseries::dtw::{point_cost, BoundedDistance};
+use vp_timeseries::series::coarsen;
 
 /// Row `i`'s Sakoe–Chiba range in `f64`: `ceil(q − radius)` to
 /// `floor(q + radius)` around `q = i·(cols−1)/(rows−1)`, clamped, with the
@@ -152,4 +157,147 @@ pub fn scalar_lb_keogh(x: &[f64], y: &[f64], radius: usize) -> f64 {
         }
     }
     sum
+}
+
+/// The row-major path DP over `window` (one inclusive column range per
+/// row of `x`, monotone, corner-anchored): the distance and the warp path
+/// backtracked from `(N−1, M−1)`, preferring the diagonal predecessor,
+/// then up, then left, with `+∞` outside the window. One `Vec` per row.
+pub fn scalar_windowed_path(
+    x: &[f64],
+    y: &[f64],
+    window: &[(usize, usize)],
+) -> (f64, Vec<(usize, usize)>) {
+    assert!(
+        !x.is_empty() && !y.is_empty(),
+        "dtw requires non-empty series"
+    );
+    assert_eq!(window.len(), x.len(), "window row count must match x");
+    let n = x.len();
+    // Cell j of a stored row covering `range`; +∞ outside it.
+    fn cell(row: &[f64], range: (usize, usize), j: usize, exists: bool) -> f64 {
+        if !exists || j < range.0 || j > range.1 {
+            f64::INFINITY
+        } else {
+            row[j - range.0]
+        }
+    }
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+    for (i, &xi) in x.iter().enumerate() {
+        let (lo, hi) = window[i];
+        let (prev_row, prev_range): (&[f64], _) = match i.checked_sub(1) {
+            Some(p) => (&rows[p], window[p]),
+            None => (&[], (0, 0)),
+        };
+        let mut row = vec![f64::INFINITY; hi - lo + 1];
+        for j in lo..=hi {
+            let c = point_cost(xi, y[j]);
+            let best = if i == 0 && j == 0 {
+                0.0
+            } else {
+                let up = cell(prev_row, prev_range, j, i > 0);
+                let diag = if j > 0 {
+                    cell(prev_row, prev_range, j - 1, i > 0)
+                } else {
+                    f64::INFINITY
+                };
+                let left = if j > lo {
+                    row[j - lo - 1]
+                } else {
+                    f64::INFINITY
+                };
+                up.min(diag).min(left)
+            };
+            row[j - lo] = c + best;
+        }
+        rows.push(row);
+    }
+    let dist = rows[n - 1][y.len() - 1 - window[n - 1].0];
+    let mut path = Vec::new();
+    let (mut i, mut j) = (n - 1, y.len() - 1);
+    path.push((i, j));
+    while i > 0 || j > 0 {
+        let up = if i > 0 {
+            cell(&rows[i - 1], window[i - 1], j, true)
+        } else {
+            f64::INFINITY
+        };
+        let diag = if i > 0 && j > 0 {
+            cell(&rows[i - 1], window[i - 1], j - 1, true)
+        } else {
+            f64::INFINITY
+        };
+        let left = if j > 0 {
+            cell(&rows[i], window[i], j - 1, true)
+        } else {
+            f64::INFINITY
+        };
+        if i > 0 && j > 0 && diag <= up && diag <= left {
+            i -= 1;
+            j -= 1;
+        } else if i > 0 && (up <= left || j == 0) {
+            i -= 1;
+        } else {
+            j -= 1;
+        }
+        path.push((i, j));
+    }
+    path.reverse();
+    (dist, path)
+}
+
+/// FastDTW with its warp path, recursively: exact DTW below
+/// `radius + 2` samples, otherwise the path DP inside the coarse path's
+/// window, inflated to full resolution and grown by `radius` with a
+/// min/max fold over the neighbouring rows.
+pub fn scalar_fast_dtw_with_path(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+) -> (f64, Vec<(usize, usize)>) {
+    let min_size = radius + 2;
+    if x.len() <= min_size || y.len() <= min_size {
+        return scalar_windowed_path(x, y, &vec![(0, y.len() - 1); x.len()]);
+    }
+    let (cx, cy) = (coarsen(x), coarsen(y));
+    let (_, coarse_path) = scalar_fast_dtw_with_path(&cx, &cy, radius);
+    let (rows, cols) = (x.len(), y.len());
+    // The coarse window: the path's column extent in each coarse row.
+    let mut coarse = vec![(usize::MAX, 0usize); cx.len()];
+    for &(i, j) in &coarse_path {
+        coarse[i] = (coarse[i].0.min(j), coarse[i].1.max(j));
+    }
+    // Inflate every coarse cell to its 2×2 block.
+    let mut ranges = vec![(usize::MAX, 0usize); rows];
+    for (ci, &(clo, chi)) in coarse.iter().enumerate() {
+        for fi in [2 * ci, 2 * ci + 1] {
+            if fi < rows {
+                ranges[fi].0 = ranges[fi].0.min(2 * clo);
+                ranges[fi].1 = ranges[fi].1.max((2 * chi + 1).min(cols - 1));
+            }
+        }
+    }
+    for i in 0..rows {
+        if ranges[i].0 == usize::MAX {
+            ranges[i] = if i > 0 { ranges[i - 1] } else { (0, cols - 1) };
+        }
+    }
+    // Grow by `radius` rows and columns.
+    if radius > 0 {
+        ranges = (0..rows)
+            .map(|i| {
+                let near = &ranges[i.saturating_sub(radius)..=(i + radius).min(rows - 1)];
+                let lo = near.iter().map(|r| r.0).min().unwrap_or(0);
+                let hi = near.iter().map(|r| r.1).max().unwrap_or(0);
+                (lo.saturating_sub(radius), (hi + radius).min(cols - 1))
+            })
+            .collect();
+    }
+    for i in 1..rows {
+        ranges[i].0 = ranges[i].0.min(cols - 1).max(ranges[i - 1].0);
+        ranges[i].1 = ranges[i].1.max(ranges[i - 1].1);
+    }
+    ranges[0].0 = 0;
+    ranges[rows - 1].1 = cols - 1;
+    scalar_windowed_path(x, y, &ranges)
 }
