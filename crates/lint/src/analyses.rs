@@ -1,91 +1,65 @@
-//! Pass 2: cross-file analyses over the workspace item model.
+//! The cross-file analyses over the workspace model.
 //!
 //! Four analyses run on the [`WorkspaceModel`] built by [`crate::model`];
-//! each guards a bug class that has actually cost debugging time and that
-//! the per-file token rules cannot see:
+//! each guards a bug class that the per-file token rules cannot see:
 //!
 //! * [`codec_symmetry`] — encode/decode field drift in the VPCK/VPCY
 //!   framings (and any future wire codec following their style);
 //! * [`lock_order`] — inconsistent nested-guard acquisition order,
 //!   double-acquisition, and channel sends while a guard is held;
 //! * [`float_accumulation`] — f64/f32 accumulators folded in
-//!   default-hasher iteration order;
+//!   default-hasher iteration order, hash-typed fields declared in other
+//!   files included;
 //! * [`panic_reachability`] — panic-capable sites on the call graph from
 //!   `StreamingRuntime`'s public entry points.
 //!
 //! All four are over-approximations by design (the model is lexical; see
 //! the module docs of [`crate::model`] for the exact approximations), so
 //! every diagnostic honors the same `// vp-lint: allow(<rule>) — <reason>`
-//! marker scheme as the lexical rules. `panic-reachability` additionally
+//! marker scheme as the per-file rules. `panic-reachability` additionally
 //! accepts a marker on the *function declaration* line, because one
 //! function often contains many sites of the same kind.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::Path;
 
 use crate::context::{FileKind, Marker};
 use crate::lexer::TokenKind;
 use crate::model::{idents_with_type, FileModel, FnRef, WorkspaceModel};
-use crate::rules::{Diagnostic, RuleId, ANALYSIS_RULES};
+use crate::rules::{diag, Diagnostic, RuleId};
 
-/// The outcome of one analysis over the whole model.
-#[derive(Debug, Clone)]
-pub struct AnalysisRun {
-    /// Which analysis ran.
-    pub rule: RuleId,
-    /// Its diagnostics, markers already applied, sorted by path/line/col.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Deterministic counters describing the analysis' coverage
-    /// (`pairs_checked`, `reachable_fns`, …) for the summary JSON.
-    pub meta: BTreeMap<&'static str, u64>,
-}
+/// Deterministic counters describing one analysis' coverage
+/// (`pairs_checked`, `reachable_fns`, …), for the summary JSON.
+pub type Coverage = BTreeMap<&'static str, u64>;
 
-/// Runs one analysis over the model, applying suppression markers.
-pub fn run_one(model: &WorkspaceModel, rule: RuleId) -> AnalysisRun {
-    let (mut diagnostics, meta) = match rule {
-        RuleId::CodecSymmetry => codec_symmetry(model),
-        RuleId::LockOrder => lock_order(model),
-        RuleId::FloatAccumulation => float_accumulation(model),
-        RuleId::PanicReachability => panic_reachability(model),
-        _ => (Vec::new(), BTreeMap::new()),
-    };
-    apply_model_markers(model, &mut diagnostics);
-    diagnostics
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.col).cmp(&(b.path.as_str(), b.line, b.col)));
-    AnalysisRun {
-        rule,
-        diagnostics,
-        meta,
-    }
-}
+type Analysis = fn(&WorkspaceModel) -> (Vec<Diagnostic>, Coverage);
 
-/// Runs all four analyses in stable order.
-pub fn run_all(model: &WorkspaceModel) -> Vec<AnalysisRun> {
-    ANALYSIS_RULES
+/// The cross-file analyses, in stable (report) order.
+const ANALYSES: [(RuleId, Analysis); 4] = [
+    (RuleId::CodecSymmetry, codec_symmetry),
+    (RuleId::LockOrder, lock_order),
+    (RuleId::FloatAccumulation, float_accumulation),
+    (RuleId::PanicReachability, panic_reachability),
+];
+
+/// Runs every analysis over the model, appending its findings to `diags`
+/// (markers are applied by the caller, with the per-file rules'), and
+/// returns each analysis' coverage counters in [`ANALYSES`] order.
+pub(crate) fn run_all(
+    model: &WorkspaceModel,
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<(RuleId, Coverage)> {
+    ANALYSES
         .into_iter()
-        .map(|r| run_one(model, r))
+        .map(|(rule, analysis)| {
+            let (found, coverage) = analysis(model);
+            diags.extend(found);
+            (rule, coverage)
+        })
         .collect()
 }
 
-/// Builds a model from in-memory `(rel_path, bytes)` pairs and runs all
-/// analyses — the single-file entry point the fixture corpus uses.
-pub fn analyze_files(inputs: &[(String, Vec<u8>)]) -> Vec<AnalysisRun> {
-    run_all(&WorkspaceModel::build(inputs))
-}
-
-/// Builds the model for every `.rs` file under `root` and runs all
-/// analyses. Returns the model too, so callers can compute stale markers
-/// against the merged diagnostic set.
-pub fn analyze_workspace(root: &Path) -> io::Result<(WorkspaceModel, Vec<AnalysisRun>)> {
-    let inputs = crate::load_workspace_sources(root)?;
-    let model = WorkspaceModel::build(&inputs);
-    let runs = run_all(&model);
-    Ok((model, runs))
-}
-
-/// A valid marker that suppressed nothing in a full (lexical + analysis)
-/// run — dead weight that should be removed.
+/// A valid marker that suppressed nothing in a run — dead weight that
+/// should be removed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaleMarker {
     /// Workspace-relative path.
@@ -97,10 +71,8 @@ pub struct StaleMarker {
 }
 
 /// Finds valid markers in library (non-test) code that no allowed
-/// diagnostic credits. Only meaningful when `diags` merges BOTH passes —
-/// a marker used only by an analysis looks stale to the lexical pass
-/// alone.
-pub fn stale_markers(model: &WorkspaceModel, diags: &[Diagnostic]) -> Vec<StaleMarker> {
+/// diagnostic in `diags` — every rule's, markers applied — credits.
+pub(crate) fn stale_markers(model: &WorkspaceModel, diags: &[Diagnostic]) -> Vec<StaleMarker> {
     let mut used: BTreeSet<(&str, u32)> = BTreeSet::new();
     for d in diags.iter().filter(|d| d.allowed) {
         // Credit both lines a marker could sit on for this finding.
@@ -157,46 +129,6 @@ fn marker_in_test(file: &FileModel, m: &Marker) -> bool {
             t.line == m.line && matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
         })
         .any(|(_, &f)| f)
-}
-
-/// Applies each file's markers to the analysis diagnostics — the same
-/// same-line / line-above coverage policy as the lexical pass.
-fn apply_model_markers(model: &WorkspaceModel, diags: &mut [Diagnostic]) {
-    let markers: BTreeMap<&str, &[Marker]> = model
-        .files
-        .iter()
-        .map(|f| (f.path.as_str(), f.markers.as_slice()))
-        .collect();
-    for d in diags.iter_mut() {
-        if d.allowed {
-            continue; // pre-allowed by a decl-line marker
-        }
-        let Some(ms) = markers.get(d.path.as_str()) else {
-            continue;
-        };
-        let covering = ms.iter().find(|m| {
-            (m.line == d.line || m.line + 1 == d.line)
-                && m.reason.is_some()
-                && m.rules.iter().any(|r| r == d.rule.name())
-        });
-        if let Some(m) = covering {
-            d.allowed = true;
-            d.reason.clone_from(&m.reason);
-        }
-    }
-}
-
-fn diag(rule: RuleId, file: &FileModel, mi: usize, message: String) -> Diagnostic {
-    let (line, col) = file.pos(mi);
-    Diagnostic {
-        rule,
-        path: file.path.clone(),
-        line,
-        col,
-        message,
-        allowed: false,
-        reason: None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +381,7 @@ fn codec_ops(
 /// Pairs `encode`-side functions with their `decode`-side counterparts
 /// and verifies field count, order and width agreement over the common
 /// straight-line prefix.
-fn codec_symmetry(model: &WorkspaceModel) -> (Vec<Diagnostic>, BTreeMap<&'static str, u64>) {
+fn codec_symmetry(model: &WorkspaceModel) -> (Vec<Diagnostic>, Coverage) {
     let widths = declared_widths(model);
     let mut diags = Vec::new();
     let mut pairs_checked = 0u64;
@@ -709,7 +641,7 @@ fn stmt_start(file: &FileModel, mi: usize) -> usize {
 /// Walks every library function tracking held guards; reports
 /// inconsistent global acquisition order, double-acquisition, and channel
 /// sends under a guard.
-fn lock_order(model: &WorkspaceModel) -> (Vec<Diagnostic>, BTreeMap<&'static str, u64>) {
+fn lock_order(model: &WorkspaceModel) -> (Vec<Diagnostic>, Coverage) {
     let mut diags = Vec::new();
     // (first_lock, second_lock) → first site observed, per direction.
     let mut edges: BTreeMap<(Vec<u8>, Vec<u8>), (usize, usize)> = BTreeMap::new();
@@ -914,7 +846,7 @@ fn float_idents(file: &FileModel, body: (usize, usize)) -> BTreeSet<Vec<u8>> {
 
 /// Flags f64/f32 folds over default-hasher iteration: inline
 /// `hash.values().sum::<f64>()` chains and `for`-loop `+=` accumulation.
-fn float_accumulation(model: &WorkspaceModel) -> (Vec<Diagnostic>, BTreeMap<&'static str, u64>) {
+fn float_accumulation(model: &WorkspaceModel) -> (Vec<Diagnostic>, Coverage) {
     let mut diags = Vec::new();
     let mut folds_seen = 0u64;
     for file in &model.files {
@@ -1142,11 +1074,8 @@ fn panic_site_at(file: &FileModel, mi: usize) -> Option<SiteKind> {
 /// justification — or as `panic-reachability`).
 fn site_justified(markers: &[Marker], line: u32) -> bool {
     markers.iter().any(|m| {
-        (m.line == line || m.line + 1 == line)
-            && m.reason.is_some()
-            && m.rules.iter().any(|r| {
-                r == RuleId::ForbiddenPanic.name() || r == RuleId::PanicReachability.name()
-            })
+        m.covers(line, RuleId::ForbiddenPanic.name())
+            || m.covers(line, RuleId::PanicReachability.name())
     })
 }
 
@@ -1231,7 +1160,7 @@ fn receiver_types(model: &WorkspaceModel) -> ReceiverTypes {
 /// Walks the name-resolved call graph from `StreamingRuntime`'s public
 /// entry points and reports panic-capable sites in reachable functions,
 /// aggregated to one diagnostic per (function, site kind).
-fn panic_reachability(model: &WorkspaceModel) -> (Vec<Diagnostic>, BTreeMap<&'static str, u64>) {
+fn panic_reachability(model: &WorkspaceModel) -> (Vec<Diagnostic>, Coverage) {
     const ENTRY_OWNER: &str = "StreamingRuntime";
     const DEPTH_CAP: u32 = 20;
     let types = receiver_types(model);
@@ -1441,19 +1370,10 @@ fn panic_reachability(model: &WorkspaceModel) -> (Vec<Diagnostic>, BTreeMap<&'st
         }
         path_names.reverse();
         let chain = path_names.join(" → ");
-        let decl_justified = item
-            .body
-            .is_some()
-            .then(|| {
-                file.markers.iter().find(|m| {
-                    (m.line == item.line || m.line + 1 == item.line)
-                        && m.reason.is_some()
-                        && m.rules
-                            .iter()
-                            .any(|r| r == RuleId::PanicReachability.name())
-                })
-            })
-            .flatten();
+        let decl_justified = file
+            .markers
+            .iter()
+            .find(|m| m.covers(item.line, RuleId::PanicReachability.name()));
         for (kind, mi) in first_per_kind {
             let n = count_per_kind.get(&kind).copied().unwrap_or(1);
             let mut d = diag(
@@ -1493,11 +1413,13 @@ mod tests {
 
     const LIB: &str = "crates/demo/src/engine.rs";
 
+    /// `rule`'s `(active, allowed)` findings on one library file.
     fn run(src: &str, rule: RuleId) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-        let runs = analyze_files(&[(LIB.to_string(), src.as_bytes().to_vec())]);
-        let run = runs.into_iter().find(|r| r.rule == rule).unwrap();
-        let (allowed, active) = run.diagnostics.into_iter().partition(|d| d.allowed);
-        (active, allowed)
+        crate::lint(&[(LIB.to_string(), src.as_bytes().to_vec())])
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.rule == rule)
+            .partition(|d| !d.allowed)
     }
 
     #[test]
@@ -1606,13 +1528,19 @@ mod tests {
             b"impl State {\n    pub fn total(&self) -> f64 {\n        self.weights.values().sum::<f64>()\n    }\n}"
                 .to_vec(),
         );
-        let runs = analyze_files(&[a, b]);
-        let fa = runs
+        let report = crate::lint(&[a, b]);
+        let fa: Vec<&Diagnostic> = report
+            .diagnostics
             .iter()
-            .find(|r| r.rule == RuleId::FloatAccumulation)
-            .unwrap();
-        assert_eq!(fa.diagnostics.len(), 1, "{:?}", fa.diagnostics);
-        assert_eq!(fa.diagnostics[0].path, "crates/a/src/calc.rs");
+            .filter(|d| d.rule == RuleId::FloatAccumulation)
+            .collect();
+        assert_eq!(fa.len(), 1, "{fa:?}");
+        assert_eq!(fa[0].path, "crates/a/src/calc.rs");
+        // The per-file iteration rule cannot see the other file's field.
+        assert!(report
+            .diagnostics
+            .iter()
+            .all(|d| d.rule != RuleId::NondeterministicIteration));
     }
 
     #[test]
@@ -1654,10 +1582,7 @@ mod tests {
     #[test]
     fn stale_marker_detection() {
         let src = "fn quiet() {\n    // vp-lint: allow(wall-clock) — nothing here reads a clock\n    let x = 1;\n}";
-        let inputs = vec![(LIB.to_string(), src.as_bytes().to_vec())];
-        let model = WorkspaceModel::build(&inputs);
-        let lex_diags = crate::rules::lint_source(LIB, src.as_bytes());
-        let stale = stale_markers(&model, &lex_diags);
+        let stale = crate::lint(&[(LIB.to_string(), src.as_bytes().to_vec())]).stale_markers;
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].line, 2);
         assert_eq!(stale[0].rules, vec!["wall-clock"]);
@@ -1666,10 +1591,8 @@ mod tests {
     #[test]
     fn used_marker_is_not_stale() {
         let src = "fn timed() {\n    // vp-lint: allow(wall-clock) — measured for the report only\n    let t = std::time::Instant::now();\n}";
-        let inputs = vec![(LIB.to_string(), src.as_bytes().to_vec())];
-        let model = WorkspaceModel::build(&inputs);
-        let lex_diags = crate::rules::lint_source(LIB, src.as_bytes());
-        assert!(lex_diags.iter().any(|d| d.allowed));
-        assert_eq!(stale_markers(&model, &lex_diags), vec![]);
+        let report = crate::lint(&[(LIB.to_string(), src.as_bytes().to_vec())]);
+        assert!(report.diagnostics.iter().any(|d| d.allowed));
+        assert_eq!(report.stale_markers, vec![]);
     }
 }

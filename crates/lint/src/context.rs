@@ -1,14 +1,15 @@
-//! File and token classification: which rules apply where.
+//! File classification and suppression markers: which rules apply where.
 //!
 //! Two layers of context decide whether a rule fires on a token:
 //!
 //! 1. **File kind**, from the workspace-relative path: integration tests,
-//!    examples, benches and the `vp-bench` measurement crate get the
-//!    lenient treatment (determinism rules are about the *detection
-//!    pipeline*, not about test scaffolding or timing harnesses).
+//!    examples, benches, the `vp-bench` measurement crate and the
+//!    `perfbench` benchmark get the lenient treatment (determinism rules
+//!    are about the *detection pipeline*, not about test scaffolding or
+//!    timing harnesses).
 //! 2. **In-file test regions**: items under a `#[cfg(test)]` /
-//!    `#[test]` / `#[bench]` attribute, found by brace matching over the
-//!    token stream.
+//!    `#[test]` / `#[bench]` attribute, found when the file is parsed
+//!    (`FileModel::in_test` in [`crate::model`]).
 //!
 //! This module also parses the suppression markers
 //! (`// vp-lint: allow(<rule>) — <reason>`) out of comment tokens.
@@ -22,15 +23,19 @@ pub enum FileKind {
     Library,
     /// Test, example or fixture code: determinism rules do not apply.
     TestLike,
-    /// Benchmark code (including the `vp-bench` crate): wall-clock
-    /// timing is the point, so the lenient treatment applies.
+    /// Benchmark code (the `vp-bench` crate and the `perfbench`
+    /// benchmark): wall-clock timing is the point, so the lenient
+    /// treatment applies.
     BenchLike,
 }
 
 /// Classifies a workspace-relative path (forward slashes).
 pub fn classify_path(rel: &str) -> FileKind {
     let components: Vec<&str> = rel.split('/').collect();
-    if rel.starts_with("crates/bench/") || components.contains(&"benches") {
+    if rel.starts_with("crates/bench/")
+        || rel.starts_with("perfbench/")
+        || components.contains(&"benches")
+    {
         return FileKind::BenchLike;
     }
     if components
@@ -50,158 +55,6 @@ pub fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
 }
 
-/// Marks every token inside a test-gated item (`#[cfg(test)] mod …`,
-/// `#[test] fn …`, `#[bench] fn …`). Returns one flag per token.
-///
-/// The scan is lexical: an outer attribute whose parenthesised content
-/// mentions the identifier `test` or `bench` — and does *not* mention
-/// `not`, so `#[cfg(not(test))]` stays live code — gates the item that
-/// follows it, up to the matching `}` (or the `;` of a braceless item).
-pub fn test_regions(tokens: &[Token], src: &[u8]) -> Vec<bool> {
-    let mut in_test = vec![false; tokens.len()];
-    // Indices of meaningful (non-comment) tokens.
-    let meaningful: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
-    let text = |mi: usize| -> &[u8] {
-        meaningful
-            .get(mi)
-            .and_then(|&i| tokens.get(i))
-            .map(|t| t.bytes(src))
-            .unwrap_or(&[])
-    };
-    let mut mi = 0usize;
-    while mi < meaningful.len() {
-        // Outer attribute start: `#` `[` (not `#![`).
-        if text(mi) == b"#" && text(mi + 1) == b"[" {
-            let (attr_end, gates_test) = scan_attr(&meaningful, tokens, src, mi + 1);
-            if gates_test {
-                // Skip any further attributes between this one and the item.
-                let mut j = attr_end + 1;
-                while text(j) == b"#" && text(j + 1) == b"[" {
-                    let (e, _) = scan_attr(&meaningful, tokens, src, j + 1);
-                    j = e + 1;
-                }
-                // Find the item's body: first `{` or `;` at depth 0 from
-                // here; `(`/`[` nesting (fn signatures) is tracked so a
-                // `;` inside, say, an array type does not end the item.
-                let mut depth = 0i64;
-                let mut k = j;
-                let mut body_end = None;
-                while k < meaningful.len() {
-                    match text(k) {
-                        b"(" | b"[" => depth += 1,
-                        b")" | b"]" => depth -= 1,
-                        b"{" if depth == 0 => {
-                            body_end = Some(match_brace(&meaningful, tokens, src, k));
-                            break;
-                        }
-                        b";" if depth == 0 => {
-                            body_end = Some(k);
-                            break;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                let end = body_end.unwrap_or(meaningful.len().saturating_sub(1));
-                for flag_mi in mi..=end.min(meaningful.len().saturating_sub(1)) {
-                    if let Some(&ti) = meaningful.get(flag_mi) {
-                        if let Some(f) = in_test.get_mut(ti) {
-                            *f = true;
-                        }
-                    }
-                }
-                mi = end + 1;
-                continue;
-            }
-            mi = attr_end + 1;
-            continue;
-        }
-        mi += 1;
-    }
-    // Comment tokens inherit the flag of the nearest following meaningful
-    // token so markers inside test mods are classified with their code.
-    let mut next_flag = false;
-    for i in (0..tokens.len()).rev() {
-        if matches!(
-            tokens.get(i).map(|t| t.kind),
-            Some(TokenKind::LineComment) | Some(TokenKind::BlockComment)
-        ) {
-            if let Some(f) = in_test.get_mut(i) {
-                *f = next_flag;
-            }
-        } else {
-            next_flag = in_test.get(i).copied().unwrap_or(false);
-        }
-    }
-    in_test
-}
-
-/// From the meaningful index of an attribute's `[`, returns the
-/// meaningful index of its matching `]` and whether its content gates
-/// test code.
-fn scan_attr(meaningful: &[usize], tokens: &[Token], src: &[u8], open: usize) -> (usize, bool) {
-    let text = |mi: usize| -> &[u8] {
-        meaningful
-            .get(mi)
-            .and_then(|&i| tokens.get(i))
-            .map(|t| t.bytes(src))
-            .unwrap_or(&[])
-    };
-    let mut depth = 0i64;
-    let mut saw_test = false;
-    let mut saw_not = false;
-    let mut mi = open;
-    while mi < meaningful.len() {
-        match text(mi) {
-            b"[" => depth += 1,
-            b"]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return (mi, saw_test && !saw_not);
-                }
-            }
-            b"test" | b"bench" => saw_test = true,
-            b"not" => saw_not = true,
-            _ => {}
-        }
-        mi += 1;
-    }
-    (meaningful.len().saturating_sub(1), saw_test && !saw_not)
-}
-
-/// From the meaningful index of a `{`, returns the meaningful index of
-/// its matching `}` (or the last token when unmatched).
-fn match_brace(meaningful: &[usize], tokens: &[Token], src: &[u8], open: usize) -> usize {
-    let text = |mi: usize| -> &[u8] {
-        meaningful
-            .get(mi)
-            .and_then(|&i| tokens.get(i))
-            .map(|t| t.bytes(src))
-            .unwrap_or(&[])
-    };
-    let mut depth = 0i64;
-    let mut mi = open;
-    while mi < meaningful.len() {
-        match text(mi) {
-            b"{" => depth += 1,
-            b"}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return mi;
-                }
-            }
-            _ => {}
-        }
-        mi += 1;
-    }
-    meaningful.len().saturating_sub(1)
-}
-
 /// A parsed `vp-lint` suppression marker.
 ///
 /// Syntax: `// vp-lint: allow(rule-a, rule-b) — <justification>`. The
@@ -218,6 +71,16 @@ pub struct Marker {
     pub rules: Vec<String>,
     /// The justification text, if a non-empty one was given.
     pub reason: Option<String>,
+}
+
+impl Marker {
+    /// Whether this marker justifies a `rule` finding on `line`: it names
+    /// the rule, carries a reason, and sits on that line or the one above.
+    pub fn covers(&self, line: u32, rule: &str) -> bool {
+        (self.line == line || self.line + 1 == line)
+            && self.reason.is_some()
+            && self.rules.iter().any(|r| r == rule)
+    }
 }
 
 /// Extracts every marker from the comment tokens.
@@ -304,6 +167,10 @@ mod tests {
             FileKind::BenchLike
         );
         assert_eq!(
+            classify_path("perfbench/src/traced.rs"),
+            FileKind::BenchLike
+        );
+        assert_eq!(
             classify_path("crates/lint/tests/fixtures/wall-clock/bad.rs"),
             FileKind::TestLike
         );
@@ -317,51 +184,15 @@ mod tests {
         assert!(!is_crate_root("crates/core/src/bin/lib.rs"));
     }
 
-    fn flags(src: &str) -> Vec<(String, bool)> {
-        let bytes = src.as_bytes();
-        let toks = lex(bytes);
-        let in_test = test_regions(&toks, bytes);
-        toks.iter()
-            .zip(&in_test)
-            .filter(|(t, _)| t.kind == TokenKind::Ident)
-            .map(|(t, &f)| (String::from_utf8_lossy(t.bytes(bytes)).into_owned(), f))
-            .collect()
-    }
-
-    #[test]
-    fn cfg_test_mod_is_a_region() {
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n fn gated() {}\n}\nfn live2() {}";
-        let f = flags(src);
-        let get = |name: &str| f.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("live"), Some(false));
-        assert_eq!(get("gated"), Some(true));
-        assert_eq!(get("live2"), Some(false));
-    }
-
-    #[test]
-    fn test_fn_attr_is_a_region() {
-        let src = "#[test]\nfn check() { gated(); }\nfn live() {}";
-        let f = flags(src);
-        assert!(f.iter().any(|(n, v)| n == "gated" && *v));
-        assert!(f.iter().any(|(n, v)| n == "live" && !*v));
-    }
-
-    #[test]
-    fn cfg_not_test_stays_live() {
-        let src = "#[cfg(not(test))]\nfn live() { hazard(); }";
-        let f = flags(src);
-        assert!(f.iter().any(|(n, v)| n == "hazard" && !*v));
-    }
-
     #[test]
     fn marker_parsing() {
-        let src = "// vp-lint: allow(wall-clock) — linter timing only\nlet x = 1;\n// vp-lint: allow(unseeded-rng)\n";
+        let src = "// vp-lint: allow(wall-clock) — linter timing only\nlet x = 1;\n// vp-lint: allow(float-ordering)\n";
         let toks = lex(src.as_bytes());
         let m = parse_markers(&toks, src.as_bytes());
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].rules, vec!["wall-clock"]);
         assert_eq!(m[0].reason.as_deref(), Some("linter timing only"));
-        assert_eq!(m[1].rules, vec!["unseeded-rng"]);
+        assert_eq!(m[1].rules, vec!["float-ordering"]);
         assert_eq!(m[1].reason, None, "missing justification must be visible");
     }
 
@@ -372,5 +203,7 @@ mod tests {
         let m = parse_markers(&toks, src.as_bytes());
         assert_eq!(m[0].rules.len(), 2);
         assert_eq!(m[0].reason.as_deref(), Some("measured, documented"));
+        assert!(m[0].covers(1, "forbidden-panic") && m[0].covers(2, "wall-clock"));
+        assert!(!m[0].covers(3, "wall-clock") && !m[0].covers(1, "float-ordering"));
     }
 }

@@ -3,24 +3,22 @@
 //! The reproduction's evidence is bit-identity: golden digests pin that
 //! the parallel sweep, fault quarantine, streaming runtime and
 //! observability layer never change a verdict. Those digests rest on
-//! invariants nothing used to check *statically*: seeded RNG only, no
-//! wall-clock reads in the pipeline, order-stable iteration, NaN-total
-//! float ordering, no aborts in library paths. This crate machine-checks
-//! them (DESIGN.md §13) with a hand-rolled lexer ([`lexer`]) and a
-//! token-pattern rule engine ([`rules`]) — zero external dependencies, in
-//! the same spirit as `vp-obs`. A second, symbol-aware pass
-//! (DESIGN.md §18) builds a per-file item model ([`model`]) and runs
-//! four cross-file analyses ([`analyses`]): codec field symmetry, lock
-//! acquisition order, hash-order float accumulation, and panic
-//! reachability from public runtime entry points.
+//! invariants nothing used to check *statically*: no wall-clock reads in
+//! the pipeline, order-stable iteration, NaN-total float ordering, no
+//! aborts in library paths. This crate machine-checks them (DESIGN.md
+//! §13, §18) with zero external dependencies, in the same spirit as
+//! `vp-obs`: a hand-rolled lexer ([`lexer`]) feeds one parse per file
+//! ([`model`]), and every rule reads that parse — the per-file token
+//! rules ([`rules`]) and four cross-file analyses ([`analyses`]): codec
+//! field symmetry, lock acquisition order, hash-order float accumulation,
+//! and panic reachability from public runtime entry points.
 //!
 //! # Running
 //!
 //! ```text
 //! cargo run -p vp-lint -- --workspace              # human diagnostics
-//! cargo run -p vp-lint -- --workspace --analyze    # + cross-file analyses
 //! cargo run -p vp-lint -- --workspace --format json
-//! cargo run -p vp-lint -- --workspace --analyze --summary-out results/BENCH_lint.json
+//! cargo run -p vp-lint -- --workspace --summary-out results/BENCH_lint.json
 //! ```
 //!
 //! Exit code 0 means every finding is either fixed or carries a justified
@@ -48,22 +46,27 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use analyses::{analyze_files, analyze_workspace, stale_markers, AnalysisRun, StaleMarker};
+pub use analyses::{Coverage, StaleMarker};
 pub use model::{FileModel, WorkspaceModel};
 pub use report::Summary;
-pub use rules::{lint_source, Diagnostic, RuleId, ALL_RULES, ANALYSIS_RULES};
+pub use rules::{Diagnostic, RuleId, ALL_RULES};
 
 /// Marker file whose presence exempts a directory (and everything below
 /// it) from the scan — the fixture corpus is deliberately bad code.
 pub const SKIP_MARKER: &str = ".vp-lint-fixtures";
 
-/// A full scan's outcome.
+/// One run's outcome: every rule over every file.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Every diagnostic, allowed ones included, sorted by path/line/col.
+    /// Every diagnostic, allowed ones included, sorted by
+    /// path/line/col/rule.
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of `.rs` files scanned.
+    /// Number of files linted.
     pub files_scanned: usize,
+    /// Each cross-file analysis' coverage counters, in report order.
+    pub coverage: Vec<(RuleId, Coverage)>,
+    /// Valid markers that suppressed nothing.
+    pub stale_markers: Vec<StaleMarker>,
 }
 
 impl Report {
@@ -71,11 +74,38 @@ impl Report {
     pub fn active(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| !d.allowed)
     }
+}
 
-    /// The run summary (wall time left at 0; the CLI fills it in).
-    pub fn summary(&self) -> Summary {
-        Summary::tally(self.files_scanned, &self.diagnostics)
+/// Lints in-memory `(rel_path, bytes)` files — workspace-relative paths
+/// with forward slashes, which decide the rules that apply (see
+/// [`context::classify_path`]). Each file is lexed and parsed once; every
+/// rule, per-file and cross-file, reads that parse; markers are applied
+/// to all findings alike, and stale markers are judged against the
+/// result. Never panics, for any bytes.
+pub fn lint(inputs: &[(String, Vec<u8>)]) -> Report {
+    let model = WorkspaceModel::build(inputs);
+    let mut diagnostics = Vec::new();
+    for file in &model.files {
+        rules::check_file(file, &mut diagnostics);
     }
+    let coverage = analyses::run_all(&model, &mut diagnostics);
+    rules::apply_markers(&model, &mut diagnostics);
+    diagnostics.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
+    let stale_markers = analyses::stale_markers(&model, &diagnostics);
+    Report {
+        diagnostics,
+        files_scanned: model.files.len(),
+        coverage,
+        stale_markers,
+    }
+}
+
+/// Lints every `.rs` file under `root` (the workspace root); see
+/// [`collect_rs_files`] for what the walk skips.
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    Ok(lint(&load_workspace_sources(root)?))
 }
 
 /// Collects every `.rs` file under `root`, sorted, skipping `target`,
@@ -113,8 +143,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Reads every `.rs` file under `root` into `(rel_path, bytes)` pairs,
-/// workspace-relative with forward slashes — the shared input of the
-/// lexical scan and the cross-file analyses.
+/// workspace-relative with forward slashes — the input of [`lint`].
 pub fn load_workspace_sources(root: &Path) -> io::Result<Vec<(String, Vec<u8>)>> {
     let files = collect_rs_files(root)?;
     let mut out = Vec::with_capacity(files.len());
@@ -127,23 +156,6 @@ pub fn load_workspace_sources(root: &Path) -> io::Result<Vec<(String, Vec<u8>)>>
         out.push((rel, fs::read(path)?));
     }
     Ok(out)
-}
-
-/// Lints every `.rs` file under `root` (the workspace root). Paths in the
-/// returned diagnostics are workspace-relative with forward slashes.
-pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    let sources = load_workspace_sources(root)?;
-    let mut diagnostics = Vec::new();
-    for (rel, src) in &sources {
-        diagnostics.extend(lint_source(rel, src));
-    }
-    diagnostics.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
-    Ok(Report {
-        diagnostics,
-        files_scanned: sources.len(),
-    })
 }
 
 /// Walks upward from `start` to the first directory whose `Cargo.toml`

@@ -9,30 +9,23 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vp_lint::analyses::{run_one, stale_markers};
-use vp_lint::model::WorkspaceModel;
-use vp_lint::report::AnalysisSummary;
-use vp_lint::{
-    find_workspace_root, load_workspace_sources, report, scan_workspace, ANALYSIS_RULES,
-};
+use vp_lint::{find_workspace_root, lint_workspace, report, Summary};
 
 struct Args {
     root: Option<PathBuf>,
     json: bool,
     show_allowed: bool,
-    analyze: bool,
     summary_out: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: vp-lint --workspace [--analyze] [--root <dir>] \
-                     [--format human|json] [--show-allowed] [--summary-out <path>]";
+const USAGE: &str = "usage: vp-lint --workspace [--root <dir>] [--format human|json] \
+                     [--show-allowed] [--summary-out <path>]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         json: false,
         show_allowed: false,
-        analyze: false,
         summary_out: None,
     };
     let mut saw_workspace = false;
@@ -49,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
                 _ => return Err("--format takes `human` or `json`".to_string()),
             },
             "--show-allowed" => args.show_allowed = true,
-            "--analyze" => args.analyze = true,
             "--summary-out" => {
                 args.summary_out = Some(PathBuf::from(
                     it.next().ok_or("--summary-out needs a path")?,
@@ -86,46 +78,15 @@ fn main() -> ExitCode {
     };
     // vp-lint: allow(wall-clock) — scan timing for the summary document only
     let t0 = Instant::now();
-    let mut report = match scan_workspace(&root) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("vp-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    let mut analysis_rows = Vec::new();
-    let mut stale = Vec::new();
-    if args.analyze {
-        let sources = match load_workspace_sources(&root) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("vp-lint: cannot read workspace sources: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let model = WorkspaceModel::build(&sources);
-        let mut analysis_diags = Vec::new();
-        for rule in ANALYSIS_RULES {
-            // vp-lint: allow(wall-clock) — per-analysis timing for the summary
-            let ta = Instant::now();
-            let run = run_one(&model, rule);
-            let mut row = AnalysisSummary::from_run(&run);
-            row.wall_time_ms = ta.elapsed().as_millis();
-            analysis_rows.push(row);
-            analysis_diags.extend(run.diagnostics);
-        }
-        report.diagnostics.extend(analysis_diags);
-        report.diagnostics.sort_by(|a, b| {
-            (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-        });
-        // Staleness is judged against the merged lexical + analysis set:
-        // a marker is dead only if it suppresses nothing in *either* pass.
-        stale = stale_markers(&model, &report.diagnostics);
-    }
-    let mut summary = report.summary();
+    let mut summary = Summary::of(&report);
     summary.wall_time_ms = t0.elapsed().as_millis();
-    summary.analyses = analysis_rows;
-    summary.stale_markers = stale;
 
     if let Some(path) = &args.summary_out {
         if let Some(dir) = path.parent() {

@@ -1,12 +1,13 @@
-//! Pass 1: the workspace item model.
+//! The workspace model: one parse per file, shared by every rule.
 //!
-//! The token-pattern rules in [`crate::rules`] see one statement at a
-//! time; the cross-file analyses in [`crate::analyses`] need to know
-//! *what items exist* — which functions live in which `impl`, what a
-//! struct's fields are typed, who calls whom — across the whole
-//! workspace. This module builds that model in one pass per file, on top
-//! of the same hand-rolled lexer (zero external dependencies), and
-//! aggregates the per-file models into a [`WorkspaceModel`].
+//! [`FileModel::parse`] lexes a file once and keeps everything a rule
+//! reads: the tokens and their meaningful (non-comment) index, the
+//! test-region flags, the suppression markers, and the items — which
+//! functions live in which `impl`, what a struct's fields are typed, who
+//! calls whom. The per-file token rules in [`crate::rules`] read one
+//! [`FileModel`]; the cross-file analyses in [`crate::analyses`] read the
+//! [`WorkspaceModel`] that aggregates them. Built on the hand-rolled
+//! lexer, with zero external dependencies.
 //!
 //! The model is *lexical*, not semantic. Documented approximations:
 //!
@@ -21,11 +22,11 @@
 //!
 //! Like the lexer, the model builder is total: it must produce *some*
 //! model for any byte sequence without panicking (pinned by the seeded
-//! property loops in `tests/model_never_panics.rs`).
+//! property loops in `tests/lint_never_panics.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::context::{classify_path, parse_markers, test_regions, FileKind, Marker};
+use crate::context::{classify_path, parse_markers, FileKind, Marker};
 use crate::lexer::{lex, Token, TokenKind};
 
 /// How a call site names its callee.
@@ -53,12 +54,6 @@ pub struct CallSite {
     pub receiver: Option<String>,
     /// Path / method / macro.
     pub kind: CallKind,
-    /// 1-based line of the callee token.
-    pub line: u32,
-    /// 1-based byte column of the callee token.
-    pub col: u32,
-    /// Meaningful-token index of the callee token.
-    pub mi: usize,
 }
 
 /// One `fn` item.
@@ -112,22 +107,11 @@ pub struct FieldItem {
 pub struct StructItem {
     /// Struct name.
     pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
     /// Named fields, in declaration order.
     pub fields: Vec<FieldItem>,
 }
 
-/// One `use` declaration, as written.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseItem {
-    /// The path text between `use` and `;`, tokens joined with spaces.
-    pub path: String,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-}
-
-/// The pass-1 model of one source file.
+/// The model of one source file.
 #[derive(Debug, Clone)]
 pub struct FileModel {
     /// Workspace-relative path (forward slashes).
@@ -148,8 +132,6 @@ pub struct FileModel {
     pub fns: Vec<FnItem>,
     /// Every `struct` item with named fields.
     pub structs: Vec<StructItem>,
-    /// Every `use` declaration.
-    pub uses: Vec<UseItem>,
 }
 
 impl FileModel {
@@ -157,7 +139,6 @@ impl FileModel {
     /// byte sequence.
     pub fn parse(rel_path: &str, src: &[u8]) -> FileModel {
         let tokens = lex(src);
-        let in_test = test_regions(&tokens, src);
         let markers = parse_markers(&tokens, src);
         let meaningful: Vec<usize> = tokens
             .iter()
@@ -171,16 +152,15 @@ impl FileModel {
             src: src.to_vec(),
             tokens,
             meaningful,
-            in_test,
+            in_test: Vec::new(),
             markers,
             fns: Vec::new(),
             structs: Vec::new(),
-            uses: Vec::new(),
         };
+        model.in_test = model.test_regions();
         let impls = model.impl_regions();
         model.collect_fns(&impls);
         model.collect_structs();
-        model.collect_uses();
         model
     }
 
@@ -208,14 +188,6 @@ impl FileModel {
         self.tok(mi).map(|t| (t.line, t.col)).unwrap_or((1, 1))
     }
 
-    /// The function whose body contains meaningful index `mi`.
-    pub fn fn_containing(&self, mi: usize) -> Option<&FnItem> {
-        // Innermost wins: nested fns appear later and are narrower.
-        self.fns
-            .iter()
-            .rfind(|f| f.body.is_some_and(|(a, b)| a <= mi && mi <= b))
-    }
-
     /// From the meaningful index of a `{`, the index of its matching `}`
     /// (or the last meaningful token when unmatched).
     pub(crate) fn match_brace(&self, open: usize) -> usize {
@@ -235,6 +207,105 @@ impl FileModel {
             mi += 1;
         }
         self.meaningful.len().saturating_sub(1)
+    }
+
+    /// Marks every token inside a test-gated item (`#[cfg(test)] mod …`,
+    /// `#[test] fn …`, `#[bench] fn …`). Returns one flag per token.
+    ///
+    /// The scan is lexical: an outer attribute whose parenthesised content
+    /// mentions the identifier `test` or `bench` — and does *not* mention
+    /// `not`, so `#[cfg(not(test))]` stays live code — gates the item that
+    /// follows it, up to the matching `}` (or the `;` of a braceless item).
+    /// Comment tokens inherit the flag of the next meaningful token, so
+    /// markers inside test code are classified with it.
+    fn test_regions(&self) -> Vec<bool> {
+        let mut in_test = vec![false; self.tokens.len()];
+        let last = self.meaningful.len().saturating_sub(1);
+        let mut mi = 0usize;
+        while mi < self.meaningful.len() {
+            // Outer attribute start: `#` `[` (not `#![`).
+            if self.text(mi) != b"#" || self.text(mi + 1) != b"[" {
+                mi += 1;
+                continue;
+            }
+            let (attr_end, gates_test) = self.scan_attr(mi + 1);
+            if !gates_test {
+                mi = attr_end + 1;
+                continue;
+            }
+            // Skip any further attributes between this one and the item.
+            let mut k = attr_end + 1;
+            while self.text(k) == b"#" && self.text(k + 1) == b"[" {
+                k = self.scan_attr(k + 1).0 + 1;
+            }
+            // The item's body: first `{` or `;` at depth 0 from here;
+            // `(`/`[` nesting (fn signatures) is tracked so a `;` inside,
+            // say, an array type does not end the item.
+            let mut depth = 0i64;
+            let mut end = last;
+            while k < self.meaningful.len() {
+                match self.text(k) {
+                    b"(" | b"[" => depth += 1,
+                    b")" | b"]" => depth -= 1,
+                    b"{" if depth == 0 => {
+                        end = self.match_brace(k);
+                        break;
+                    }
+                    b";" if depth == 0 => {
+                        end = k;
+                        break;
+                    }
+                    _ => {}
+                }
+                k += 1;
+            }
+            for flag_mi in mi..=end.min(last) {
+                if let Some(f) = self
+                    .meaningful
+                    .get(flag_mi)
+                    .and_then(|&ti| in_test.get_mut(ti))
+                {
+                    *f = true;
+                }
+            }
+            mi = end + 1;
+        }
+        let mut next_flag = false;
+        for (t, f) in self.tokens.iter().zip(in_test.iter_mut()).rev() {
+            if matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
+                *f = next_flag;
+            } else {
+                next_flag = *f;
+            }
+        }
+        in_test
+    }
+
+    /// From the meaningful index of an attribute's `[`, returns the
+    /// meaningful index of its matching `]` and whether its content gates
+    /// test code.
+    fn scan_attr(&self, open: usize) -> (usize, bool) {
+        let mut depth = 0i64;
+        let mut saw_test = false;
+        let mut saw_not = false;
+        for mi in open..self.meaningful.len() {
+            match self.text(mi) {
+                b"[" => depth += 1,
+                b"]" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return (mi, saw_test && !saw_not);
+                    }
+                }
+                b"test" | b"bench" => saw_test = true,
+                b"not" => saw_not = true,
+                _ => {}
+            }
+        }
+        (
+            self.meaningful.len().saturating_sub(1),
+            saw_test && !saw_not,
+        )
     }
 
     /// Every `impl` block as `(type_name, body_open, body_close)`.
@@ -477,15 +548,11 @@ impl FileModel {
             } else {
                 None
             };
-            let (line, col) = self.pos(mi);
             out.push(CallSite {
                 callee: String::from_utf8_lossy(text).into_owned(),
                 qualifier,
                 kind,
                 receiver,
-                line,
-                col,
-                mi,
             });
         }
         out
@@ -504,7 +571,6 @@ impl FileModel {
                 continue;
             }
             let name = String::from_utf8_lossy(name_tok.bytes(&self.src)).into_owned();
-            let (line, _) = self.pos(mi);
             // Find the `{` of a named-field body (skipping generics),
             // bailing at `;` (unit) or `(` (tuple struct).
             let mut k = mi + 2;
@@ -570,61 +636,40 @@ impl FileModel {
                     k += 1;
                 }
             }
-            out.push(StructItem { name, line, fields });
+            out.push(StructItem { name, fields });
         }
         self.structs = out;
     }
-
-    fn collect_uses(&mut self) {
-        let mut out = Vec::new();
-        for mi in 0..self.meaningful.len() {
-            if self.text(mi) != b"use" {
-                continue;
-            }
-            // Only item position: previous token ends a statement/item.
-            let prev = self.text(mi.wrapping_sub(1));
-            if mi != 0 && !matches!(prev, b";" | b"{" | b"}" | b"]") {
-                continue;
-            }
-            let (line, _) = self.pos(mi);
-            let mut parts = Vec::new();
-            let mut k = mi + 1;
-            while k < self.meaningful.len() && self.text(k) != b";" && parts.len() < 64 {
-                parts.push(String::from_utf8_lossy(self.text(k)).into_owned());
-                k += 1;
-            }
-            out.push(UseItem {
-                path: parts.join(" "),
-                line,
-            });
-        }
-        self.uses = out;
-    }
 }
+
+/// Wrapper tokens skipped when walking back from a target type to the
+/// name it declares (`counts: Mutex<HashMap<…>>` declares `counts`).
+const TYPE_WRAPPERS: [&[u8]; 18] = [
+    b"std",
+    b"collections",
+    b"core",
+    b"alloc",
+    b"sync",
+    b"Option",
+    b"Mutex",
+    b"RwLock",
+    b"Arc",
+    b"Rc",
+    b"Box",
+    b"RefCell",
+    b"Cell",
+    b"VecDeque",
+    b"Vec",
+    b"<",
+    b"&",
+    b"mut",
+];
 
 /// Collects identifiers declared (or assigned) with any of the target
 /// types in this file: `name: …Target<…>` (let bindings, fields, params,
-/// statics) and `name = Target::new(…)`. Same walk-back as the lexical
-/// hash-iteration rule, generalised over the type list.
+/// statics) and `name = Target::new(…)`, walking back over
+/// [`TYPE_WRAPPERS`] and `::` path segments.
 pub fn idents_with_type(file: &FileModel, targets: &[&[u8]]) -> BTreeSet<Vec<u8>> {
-    const TYPE_WRAPPERS: [&[u8]; 16] = [
-        b"std",
-        b"collections",
-        b"core",
-        b"alloc",
-        b"sync",
-        b"Option",
-        b"Arc",
-        b"Rc",
-        b"Box",
-        b"RefCell",
-        b"Cell",
-        b"VecDeque",
-        b"Vec",
-        b"<",
-        b"&",
-        b"mut",
-    ];
     let mut out = BTreeSet::new();
     for mi in 0..file.meaningful.len() {
         let t = file.text(mi);
@@ -798,14 +843,43 @@ mod tests {
         assert_eq!(s.fields[2].type_text, "u8");
     }
 
-    #[test]
-    fn uses_and_test_regions() {
-        let src = "use std::sync::Mutex;\nfn live() {}\n#[cfg(test)]\nmod tests {\n    fn gated() { helper(); }\n}";
+    /// `(ident, in_test)` for every identifier token.
+    fn flags(src: &str) -> Vec<(String, bool)> {
         let m = model(src);
-        assert_eq!(m.uses.len(), 1);
-        assert!(m.uses[0].path.contains("Mutex"));
+        m.tokens
+            .iter()
+            .zip(&m.in_test)
+            .filter(|(t, _)| t.kind == TokenKind::Ident)
+            .map(|(t, &f)| (String::from_utf8_lossy(t.bytes(&m.src)).into_owned(), f))
+            .collect()
+    }
+
+    #[test]
+    fn cfg_test_mod_is_a_region() {
+        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n fn gated() {}\n}\nfn live2() {}";
+        let f = flags(src);
+        let get = |name: &str| f.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(get("live"), Some(false));
+        assert_eq!(get("gated"), Some(true));
+        assert_eq!(get("live2"), Some(false));
+        let m = model(src);
         assert!(!m.fns[0].in_test);
         assert!(m.fns[1].in_test);
+    }
+
+    #[test]
+    fn test_fn_attr_is_a_region() {
+        let src = "#[test]\nfn check() { gated(); }\nfn live() {}";
+        let f = flags(src);
+        assert!(f.iter().any(|(n, v)| n == "gated" && *v));
+        assert!(f.iter().any(|(n, v)| n == "live" && !*v));
+    }
+
+    #[test]
+    fn cfg_not_test_stays_live() {
+        let src = "#[cfg(not(test))]\nfn live() { hazard(); }";
+        let f = flags(src);
+        assert!(f.iter().any(|(n, v)| n == "hazard" && !*v));
     }
 
     #[test]

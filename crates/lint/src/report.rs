@@ -7,8 +7,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::analyses::{AnalysisRun, StaleMarker};
+use crate::analyses::{Coverage, StaleMarker};
 use crate::rules::{Diagnostic, RuleId, ALL_RULES};
+use crate::Report;
 
 /// Escapes a string for a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -29,36 +30,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// One cross-file analysis' slice of the summary document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnalysisSummary {
-    /// The analysis rule's name (`codec-symmetry`, …).
-    pub name: &'static str,
-    /// Total findings, allowed ones included.
-    pub found: usize,
-    /// Findings suppressed by a justified marker.
-    pub allowed: usize,
-    /// Wall time of this analysis alone, milliseconds (CLI-stamped; the
-    /// library never reads the clock).
-    pub wall_time_ms: u128,
-    /// The analysis' coverage counters (`pairs_checked`, …).
-    pub meta: BTreeMap<&'static str, u64>,
-}
-
-impl AnalysisSummary {
-    /// Folds an [`AnalysisRun`] into its summary row; the CLI stamps
-    /// `wall_time_ms` afterwards.
-    pub fn from_run(run: &AnalysisRun) -> AnalysisSummary {
-        AnalysisSummary {
-            name: run.rule.name(),
-            found: run.diagnostics.len(),
-            allowed: run.diagnostics.iter().filter(|d| d.allowed).count(),
-            wall_time_ms: 0,
-            meta: run.meta.clone(),
-        }
-    }
-}
-
 /// Aggregate of one lint run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Summary {
@@ -69,20 +40,20 @@ pub struct Summary {
     pub wall_time_ms: u128,
     /// Per rule: `(findings, of which allowed by marker)`.
     pub per_rule: BTreeMap<&'static str, (usize, usize)>,
-    /// One row per cross-file analysis; empty when `--analyze` did not
-    /// run.
-    pub analyses: Vec<AnalysisSummary>,
+    /// Each cross-file analysis' coverage counters, by rule name.
+    pub analyses: Vec<(&'static str, Coverage)>,
     /// Markers that suppressed nothing anywhere — reported as warnings,
     /// they never affect the exit code.
     pub stale_markers: Vec<StaleMarker>,
 }
 
 impl Summary {
-    /// Builds the per-rule table from a diagnostic list.
-    pub fn tally(files_scanned: usize, diags: &[Diagnostic]) -> Summary {
+    /// Tallies a run: findings per rule, coverage, stale markers (wall
+    /// time left at 0; the CLI fills it in).
+    pub fn of(report: &Report) -> Summary {
         let mut per_rule: BTreeMap<&'static str, (usize, usize)> =
             ALL_RULES.iter().map(|r| (r.name(), (0, 0))).collect();
-        for d in diags {
+        for d in &report.diagnostics {
             let entry = per_rule.entry(d.rule.name()).or_default();
             entry.0 += 1;
             if d.allowed {
@@ -90,11 +61,15 @@ impl Summary {
             }
         }
         Summary {
-            files_scanned,
+            files_scanned: report.files_scanned,
             wall_time_ms: 0,
             per_rule,
-            analyses: Vec::new(),
-            stale_markers: Vec::new(),
+            analyses: report
+                .coverage
+                .iter()
+                .map(|(rule, coverage)| (rule.name(), coverage.clone()))
+                .collect(),
+            stale_markers: report.stale_markers.clone(),
         }
     }
 
@@ -123,25 +98,19 @@ impl Summary {
             );
         }
         let mut analyses = String::new();
-        for (i, a) in self.analyses.iter().enumerate() {
+        for (i, (name, coverage)) in self.analyses.iter().enumerate() {
             if i > 0 {
                 analyses.push(',');
             }
-            let mut meta = String::new();
-            for (j, (k, v)) in a.meta.iter().enumerate() {
-                if j > 0 {
-                    meta.push_str(", ");
-                }
-                let _ = write!(meta, "\"{}\": {v}", json_escape(k));
-            }
+            let counters: Vec<String> = coverage
+                .iter()
+                .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
+                .collect();
             let _ = write!(
                 analyses,
-                "\n    \"{}\": {{\"found\": {}, \"allowed\": {}, \"wall_time_ms\": {}, \
-                 \"meta\": {{{meta}}}}}",
-                json_escape(a.name),
-                a.found,
-                a.allowed,
-                a.wall_time_ms,
+                "\n    \"{}\": {{{}}}",
+                json_escape(name),
+                counters.join(", ")
             );
         }
         let mut stale = String::new();
@@ -173,7 +142,7 @@ impl Summary {
             "\n  }"
         };
         format!(
-            "{{\n  \"schema\": \"vp-lint-summary/2\",\n  \"files_scanned\": {},\n  \
+            "{{\n  \"schema\": \"vp-lint-summary/3\",\n  \"files_scanned\": {},\n  \
              \"wall_time_ms\": {},\n  \"active\": {},\n  \"allowed\": {},\n  \
              \"rules\": {{{rules}\n  }},\n  \
              \"analyses\": {{{analyses}{analyses_close},\n  \
@@ -270,6 +239,15 @@ pub fn render_json(diags: &[Diagnostic], summary: &Summary) -> String {
 mod tests {
     use super::*;
 
+    fn summary(diags: Vec<Diagnostic>) -> Summary {
+        Summary::of(&Report {
+            diagnostics: diags,
+            files_scanned: 4,
+            coverage: vec![(RuleId::LockOrder, Coverage::from([("fns_walked", 2)]))],
+            stale_markers: Vec::new(),
+        })
+    }
+
     fn diag(rule: RuleId, allowed: bool) -> Diagnostic {
         Diagnostic {
             rule,
@@ -295,13 +273,14 @@ mod tests {
             diag(RuleId::WallClock, false),
             diag(RuleId::ForbiddenPanic, true),
         ];
-        let s = Summary::tally(4, &diags);
+        let s = summary(diags);
         assert_eq!(s.active(), 1);
         assert_eq!(s.allowed(), 2);
         assert_eq!(s.per_rule["wall-clock"], (2, 1));
         let json = s.to_json();
         assert!(json.contains("\"files_scanned\": 4"));
         assert!(json.contains("\"wall-clock\": {\"found\": 2, \"allowed\": 1}"));
+        assert!(json.contains("\"lock-order\": {\"fns_walked\": 2}"));
     }
 
     #[test]
@@ -310,7 +289,7 @@ mod tests {
             diag(RuleId::WallClock, true),
             diag(RuleId::WallClock, false),
         ];
-        let s = Summary::tally(1, &diags);
+        let s = summary(diags.clone());
         let quiet = render_human(&diags, &s, false);
         assert_eq!(quiet.matches("error[wall-clock]").count(), 1);
         assert!(!quiet.contains("allowed[wall-clock]"));
@@ -321,7 +300,7 @@ mod tests {
     #[test]
     fn json_report_is_valid_enough_to_round_trip_quotes() {
         let diags = vec![diag(RuleId::BadMarker, false)];
-        let s = Summary::tally(1, &diags);
+        let s = summary(diags.clone());
         let json = render_json(&diags, &s);
         assert!(json.contains("\\\"quotes\\\""));
         assert!(json.contains("\"rule\": \"bad-marker\""));

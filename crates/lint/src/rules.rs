@@ -1,14 +1,16 @@
-//! The rule catalog and the token-pattern engine that applies it.
+//! The rule catalog, the per-file token rules, and marker application.
 //!
 //! Every rule guards one clause of the repository's determinism contract
-//! (DESIGN.md §13). Rules are lexical: they match token patterns, never
-//! types, so each has a documented approximation and an escape hatch —
-//! the `// vp-lint: allow(<rule>) — <reason>` marker ([`crate::context`]).
+//! (DESIGN.md §13). The per-file rules here match token patterns over a
+//! parsed [`FileModel`], never types, so each has a documented
+//! approximation and an escape hatch — the
+//! `// vp-lint: allow(<rule>) — <reason>` marker ([`crate::context`]).
+//! The cross-file rules live in [`crate::analyses`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::context::{classify_path, is_crate_root, parse_markers, test_regions, FileKind, Marker};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::context::{is_crate_root, FileKind, Marker};
+use crate::model::{idents_with_type, FileModel, WorkspaceModel};
 
 /// Identifies one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -16,9 +18,6 @@ pub enum RuleId {
     /// Iterating a default-hasher `HashMap`/`HashSet` in pipeline code
     /// without sorting in the same (or immediately following) statement.
     NondeterministicIteration,
-    /// `thread_rng` / `from_entropy` / `rand::random` / `OsRng` outside
-    /// tests and benches: RNG state the seed does not control.
-    UnseededRng,
     /// `SystemTime::now` / `Instant::now` in pipeline crates: verdicts
     /// must be a function of simulated time, never of the host clock.
     WallClock,
@@ -52,12 +51,10 @@ pub enum RuleId {
     PanicReachability,
 }
 
-/// Every rule, in stable (report) order. The last four are cross-file
-/// analyses: they only fire under `--analyze` / [`crate::analyses`], not
-/// in the per-file lexical pass.
-pub const ALL_RULES: [RuleId; 11] = [
+/// Every rule, in stable (report) order. The last four are the cross-file
+/// analyses of [`crate::analyses`]; every run applies all of them.
+pub const ALL_RULES: [RuleId; 10] = [
     RuleId::NondeterministicIteration,
-    RuleId::UnseededRng,
     RuleId::WallClock,
     RuleId::FloatOrdering,
     RuleId::ForbiddenPanic,
@@ -69,20 +66,11 @@ pub const ALL_RULES: [RuleId; 11] = [
     RuleId::PanicReachability,
 ];
 
-/// The cross-file analysis rules, in stable (report) order.
-pub const ANALYSIS_RULES: [RuleId; 4] = [
-    RuleId::CodecSymmetry,
-    RuleId::LockOrder,
-    RuleId::FloatAccumulation,
-    RuleId::PanicReachability,
-];
-
 impl RuleId {
     /// Kebab-case rule name, as used in markers and reports.
     pub fn name(self) -> &'static str {
         match self {
             RuleId::NondeterministicIteration => "nondeterministic-iteration",
-            RuleId::UnseededRng => "unseeded-rng",
             RuleId::WallClock => "wall-clock",
             RuleId::FloatOrdering => "float-ordering",
             RuleId::ForbiddenPanic => "forbidden-panic",
@@ -121,38 +109,104 @@ pub struct Diagnostic {
     pub reason: Option<String>,
 }
 
-/// Lints one file's source. `rel_path` decides which rules apply (see
-/// [`classify_path`]); the returned diagnostics carry it verbatim.
-/// Never panics, for any byte sequence.
-pub fn lint_source(rel_path: &str, src: &[u8]) -> Vec<Diagnostic> {
-    let kind = classify_path(rel_path);
-    let tokens = lex(src);
-    let markers = parse_markers(&tokens, src);
-    let mut diags = Vec::new();
-
-    // Marker hygiene is checked everywhere, even in tests: a marker that
-    // names an unknown rule or carries no justification is dead weight.
-    for m in &markers {
-        check_marker(m, rel_path, &mut diags);
+/// An active finding of `rule` at the `mi`-th meaningful token of `file`.
+pub(crate) fn diag(rule: RuleId, file: &FileModel, mi: usize, message: String) -> Diagnostic {
+    let (line, col) = file.pos(mi);
+    Diagnostic {
+        rule,
+        path: file.path.clone(),
+        line,
+        col,
+        message,
+        allowed: false,
+        reason: None,
     }
+}
 
-    if kind == FileKind::Library {
-        let in_test = test_regions(&tokens, src);
-        let f = FileScan::new(rel_path, src, &tokens, &in_test);
-        f.nondeterministic_iteration(&mut diags);
-        f.unseeded_rng(&mut diags);
-        f.wall_clock(&mut diags);
-        f.float_ordering(&mut diags);
-        f.forbidden_panic(&mut diags);
-        f.unsafe_code(&mut diags);
-        if is_crate_root(rel_path) {
-            f.require_forbid_unsafe(&mut diags);
+/// Runs the per-file rules over one parsed file: marker hygiene
+/// everywhere (a marker that names an unknown rule or carries no
+/// justification is dead weight, even in tests), and the token rules in
+/// library code outside test regions (see
+/// [`crate::context::classify_path`]).
+pub(crate) fn check_file(file: &FileModel, diags: &mut Vec<Diagnostic>) {
+    for m in &file.markers {
+        check_marker(m, &file.path, diags);
+    }
+    if file.kind != FileKind::Library {
+        return;
+    }
+    if is_crate_root(&file.path) && !forbids_unsafe(file) {
+        diags.push(Diagnostic {
+            rule: RuleId::UnsafeCode,
+            path: file.path.clone(),
+            line: 1,
+            col: 1,
+            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+            allowed: false,
+            reason: None,
+        });
+    }
+    let hash_idents = idents_with_type(file, &[b"HashMap", b"HashSet"]);
+    for mi in 0..file.meaningful.len() {
+        if file.is_test(mi) {
+            continue;
         }
+        let t = file.text(mi);
+        let (rule, message) = match t {
+            // `wall-clock`: `SystemTime::now` / `Instant::now`.
+            b"SystemTime" | b"Instant"
+                if file.text(mi + 1) == b":"
+                    && file.text(mi + 2) == b":"
+                    && file.text(mi + 3) == b"now" =>
+            {
+                (
+                    RuleId::WallClock,
+                    format!(
+                        "`{}::now()` reads the host clock; pipeline results must depend on \
+                         simulated time only (deadline/observability code may justify this \
+                         with an allow marker)",
+                        String::from_utf8_lossy(t)
+                    ),
+                )
+            }
+            // `float-ordering`: `partial_cmp` call sites (definitions of
+            // the `PartialOrd` trait method are exempt).
+            b"partial_cmp" if file.text(mi.wrapping_sub(1)) != b"fn" => (
+                RuleId::FloatOrdering,
+                "`partial_cmp` is fallible on NaN and its fallback branch breaks total \
+                 ordering; use `f64::total_cmp` (or justify with an allow marker)"
+                    .to_string(),
+            ),
+            // `forbidden-panic`: aborting macros.
+            b"panic" | b"unreachable" | b"todo" | b"unimplemented" if file.text(mi + 1) == b"!" => {
+                (
+                    RuleId::ForbiddenPanic,
+                    format!(
+                        "`{}!` aborts the pipeline; return a `VpError`/degrade instead, or \
+                         justify the invariant with an allow marker",
+                        String::from_utf8_lossy(t)
+                    ),
+                )
+            }
+            // `unsafe-code` (usage half): any `unsafe` keyword.
+            b"unsafe" => (
+                RuleId::UnsafeCode,
+                "`unsafe` is forbidden workspace-wide (#![forbid(unsafe_code)])".to_string(),
+            ),
+            _ => match hash_iteration(file, mi, &hash_idents) {
+                Some(receiver) => (
+                    RuleId::NondeterministicIteration,
+                    format!(
+                        "iteration over default-hasher collection `{}` observes hasher order; \
+                         sort the result, use a BTree collection, or justify with an allow marker",
+                        String::from_utf8_lossy(receiver)
+                    ),
+                ),
+                None => continue,
+            },
+        };
+        diags.push(diag(rule, file, mi, message));
     }
-
-    apply_markers(&mut diags, &markers);
-    diags.sort_by_key(|d| (d.line, d.col, d.rule));
-    diags
 }
 
 fn check_marker(m: &Marker, rel_path: &str, diags: &mut Vec<Diagnostic>) {
@@ -186,39 +240,29 @@ fn check_marker(m: &Marker, rel_path: &str, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Marks findings covered by a valid marker on the same line or the line
-/// directly above as allowed. `bad-marker` findings are never allowed.
-/// Shared with the cross-file analyses, which apply the same coverage
-/// policy to their own diagnostics.
-pub(crate) fn apply_markers(diags: &mut [Diagnostic], markers: &[Marker]) {
+/// Marks every finding that a justified marker in its file covers (see
+/// [`Marker::covers`]) as allowed, for the per-file rules and the
+/// cross-file analyses alike. `bad-marker` findings are never allowed;
+/// findings already allowed (by a declaration-line marker of
+/// `panic-reachability`) keep their reason.
+pub(crate) fn apply_markers(model: &WorkspaceModel, diags: &mut [Diagnostic]) {
+    let markers: BTreeMap<&str, &[Marker]> = model
+        .files
+        .iter()
+        .map(|f| (f.path.as_str(), f.markers.as_slice()))
+        .collect();
     for d in diags.iter_mut() {
-        if d.rule == RuleId::BadMarker {
+        if d.allowed || d.rule == RuleId::BadMarker {
             continue;
         }
-        let covering = markers.iter().find(|m| {
-            (m.line == d.line || m.line + 1 == d.line)
-                && m.reason.is_some()
-                && m.rules.iter().any(|r| r == d.rule.name())
-        });
-        if let Some(m) = covering {
+        let Some(ms) = markers.get(d.path.as_str()) else {
+            continue;
+        };
+        if let Some(m) = ms.iter().find(|m| m.covers(d.line, d.rule.name())) {
             d.allowed = true;
             d.reason.clone_from(&m.reason);
         }
     }
-}
-
-/// Per-file scan state shared by the rule passes.
-struct FileScan<'a> {
-    rel_path: &'a str,
-    src: &'a [u8],
-    tokens: &'a [Token],
-    /// Meaningful (non-comment) token indices.
-    meaningful: Vec<usize>,
-    /// Per-token in-test flag.
-    in_test: &'a [bool],
-    /// Identifiers declared (or assigned) with a `HashMap`/`HashSet` type
-    /// in this file — the receivers the iteration rule watches.
-    hash_idents: BTreeSet<Vec<u8>>,
 }
 
 /// Methods whose call on a hash collection observes iteration order.
@@ -245,354 +289,87 @@ const SORT_METHODS: [&[u8]; 6] = [
     b"sort_unstable_by_key",
 ];
 
-/// Wrapper tokens skipped when walking back from `HashMap`/`HashSet` to
-/// the declared name (`counts: Mutex<HashMap<…>>` declares `counts`).
-const TYPE_WRAPPERS: [&[u8]; 16] = [
-    b"std",
-    b"collections",
-    b"core",
-    b"alloc",
-    b"Option",
-    b"Mutex",
-    b"RwLock",
-    b"Arc",
-    b"Rc",
-    b"Box",
-    b"RefCell",
-    b"Cell",
-    b"VecDeque",
-    b"<",
-    b"&",
-    b"mut",
-];
+/// `nondeterministic-iteration`: an order-observing method call on a
+/// hash-typed receiver, or `for _ in [&[mut]] <hash> {`, not
+/// canonicalised nearby (see [`sorted_nearby`]). Returns the receiver's
+/// name for the message.
+fn hash_iteration<'a>(
+    file: &'a FileModel,
+    mi: usize,
+    hash_idents: &BTreeSet<Vec<u8>>,
+) -> Option<&'a [u8]> {
+    let t = file.text(mi);
+    let receiver = if ITER_METHODS.contains(&t) {
+        // `<hash> . method` (also matches the tail of
+        // `self.<hash>.method`).
+        let recv = file.text(mi.wrapping_sub(2));
+        (file.text(mi.wrapping_sub(1)) == b"."
+            && hash_idents.contains(recv)
+            && file.text(mi + 1) == b"(")
+            .then_some(recv)
+    } else if t == b"in" {
+        let mut k = mi + 1;
+        while file.text(k) == b"&" || file.text(k) == b"mut" {
+            k += 1;
+        }
+        (hash_idents.contains(file.text(k)) && file.text(k + 1) == b"{")
+            .then_some(b"<loop target>".as_slice())
+    } else {
+        None
+    }?;
+    (!sorted_nearby(file, mi)).then_some(receiver)
+}
 
-impl<'a> FileScan<'a> {
-    fn new(
-        rel_path: &'a str,
-        src: &'a [u8],
-        tokens: &'a [Token],
-        in_test: &'a [bool],
-    ) -> FileScan<'a> {
-        let meaningful: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-            .map(|(i, _)| i)
-            .collect();
-        let mut f = FileScan {
-            rel_path,
-            src,
-            tokens,
-            meaningful,
-            in_test,
-            hash_idents: BTreeSet::new(),
-        };
-        f.collect_hash_idents();
-        f
+/// Looks for canonicalisation evidence around the iteration at `mi`:
+/// backward to the start of the statement for a BTree type annotation
+/// (`let x: BTreeMap<…> = m.iter()…collect()`), and forward for a
+/// sort-family call or BTree turbofish within the current statement or
+/// the one after it (two `;` at the statement's own bracket depth),
+/// capped at 250 tokens.
+fn sorted_nearby(file: &FileModel, mi: usize) -> bool {
+    for k in (mi.saturating_sub(60)..mi).rev() {
+        match file.text(k) {
+            b";" | b"{" | b"}" => break,
+            b"BTreeMap" | b"BTreeSet" => return true,
+            _ => {}
+        }
     }
-
-    /// Text of the `mi`-th meaningful token (empty slice past the end).
-    fn text(&self, mi: usize) -> &'a [u8] {
-        self.tok(mi).map(|t| t.bytes(self.src)).unwrap_or(&[])
-    }
-
-    fn tok(&self, mi: usize) -> Option<&'a Token> {
-        self.meaningful.get(mi).and_then(|&i| self.tokens.get(i))
-    }
-
-    fn is_test(&self, mi: usize) -> bool {
-        self.meaningful
-            .get(mi)
-            .and_then(|&i| self.in_test.get(i))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    fn push(&self, diags: &mut Vec<Diagnostic>, rule: RuleId, mi: usize, message: String) {
-        let (line, col) = self.tok(mi).map(|t| (t.line, t.col)).unwrap_or((1, 1));
-        diags.push(Diagnostic {
-            rule,
-            path: self.rel_path.to_string(),
-            line,
-            col,
-            message,
-            allowed: false,
-            reason: None,
-        });
-    }
-
-    /// Finds every identifier declared with a hash-collection type:
-    /// `name: …HashMap<…>` (let bindings, fields, params) and
-    /// `name = HashMap::new()` / `name = HashSet::with_capacity(…)`.
-    fn collect_hash_idents(&mut self) {
-        for mi in 0..self.meaningful.len() {
-            let t = self.text(mi);
-            if t != b"HashMap" && t != b"HashSet" {
-                continue;
-            }
-            // Walk back over wrapper tokens and `::` path segments to the
-            // token that introduced the type position.
-            let mut k = mi;
-            while k > 0 {
-                let prev = self.text(k - 1);
-                if prev == b":" && k >= 2 && self.text(k - 2) == b":" {
-                    k -= 2; // a `::` path separator
-                } else if TYPE_WRAPPERS.contains(&prev) {
-                    k -= 1;
-                } else {
-                    break;
+    let mut depth = 0i64;
+    let mut semis = 0;
+    for k in mi..(mi + 250).min(file.meaningful.len()) {
+        let t = file.text(k);
+        match t {
+            b"(" | b"[" | b"{" => depth += 1,
+            b")" | b"]" | b"}" => {
+                depth -= 1;
+                if depth < 0 {
+                    return false;
                 }
             }
-            if k == 0 {
-                continue;
-            }
-            let intro = self.text(k - 1);
-            if intro == b":" && !(k >= 2 && self.text(k - 2) == b":") {
-                // `name : <type>` — field, binding or parameter.
-                if k >= 2 && self.tok(k - 2).is_some_and(|t| t.kind == TokenKind::Ident) {
-                    self.hash_idents.insert(self.text(k - 2).to_vec());
+            b";" if depth == 0 => {
+                semis += 1;
+                if semis >= 2 {
+                    return false;
                 }
-            } else if intro == b"=" {
-                // `name = HashMap::new()` / `self.name = HashMap::…`.
-                if k >= 2 && self.tok(k - 2).is_some_and(|t| t.kind == TokenKind::Ident) {
-                    self.hash_idents.insert(self.text(k - 2).to_vec());
+            }
+            _ => {
+                if SORT_METHODS.contains(&t) || t == b"BTreeMap" || t == b"BTreeSet" {
+                    return true;
                 }
             }
         }
     }
+    false
+}
 
-    /// `nondeterministic-iteration`: order-observing method call on a
-    /// hash-typed receiver, or `for _ in [&[mut]] <hash>`. A sort-family
-    /// call within the same or the immediately following statement counts
-    /// as canonicalisation and suppresses the finding, as does collecting
-    /// into a `BTreeMap`/`BTreeSet`.
-    fn nondeterministic_iteration(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if self.is_test(mi) {
-                continue;
-            }
-            let t = self.text(mi);
-            let flagged = if ITER_METHODS.contains(&t) {
-                // `<hash> . method` (also matches the tail of
-                // `self.<hash>.method`).
-                self.text(mi.wrapping_sub(1)) == b"."
-                    && self.hash_idents.contains(self.text(mi.wrapping_sub(2)))
-                    && self.text(mi + 1) == b"("
-            } else if t == b"in" {
-                // `for pat in [&][mut] <hash> {`
-                let mut k = mi + 1;
-                while self.text(k) == b"&" || self.text(k) == b"mut" {
-                    k += 1;
-                }
-                self.hash_idents.contains(self.text(k)) && self.text(k + 1) == b"{"
-            } else {
-                false
-            };
-            if !flagged || self.sorted_nearby(mi) {
-                continue;
-            }
-            let receiver = if t == b"in" {
-                b"<loop target>".as_slice()
-            } else {
-                self.text(mi.wrapping_sub(2))
-            };
-            self.push(
-                diags,
-                RuleId::NondeterministicIteration,
-                mi,
-                format!(
-                    "iteration over default-hasher collection `{}` observes hasher order; \
-                     sort the result, use a BTree collection, or justify with an allow marker",
-                    String::from_utf8_lossy(receiver)
-                ),
-            );
-        }
-    }
-
-    /// Looks for canonicalisation evidence around the iteration at `mi`:
-    /// backward to the start of the statement for a BTree type annotation
-    /// (`let x: BTreeMap<…> = m.iter()…collect()`), and forward for a
-    /// sort-family call or BTree turbofish within the current statement
-    /// or the one after it (two `;` at the statement's own bracket
-    /// depth), capped at 250 tokens.
-    fn sorted_nearby(&self, mi: usize) -> bool {
-        for k in (mi.saturating_sub(60)..mi).rev() {
-            match self.text(k) {
-                b";" | b"{" | b"}" => break,
-                b"BTreeMap" | b"BTreeSet" => return true,
-                _ => {}
-            }
-        }
-        let mut depth = 0i64;
-        let mut semis = 0;
-        for k in mi..(mi + 250).min(self.meaningful.len()) {
-            let t = self.text(k);
-            match t {
-                b"(" | b"[" | b"{" => depth += 1,
-                b")" | b"]" | b"}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return false;
-                    }
-                }
-                b";" if depth == 0 => {
-                    semis += 1;
-                    if semis >= 2 {
-                        return false;
-                    }
-                }
-                _ => {
-                    if SORT_METHODS.contains(&t) || t == b"BTreeMap" || t == b"BTreeSet" {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// `unseeded-rng`: entropy-seeded RNG constructors in pipeline code.
-    fn unseeded_rng(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if self.is_test(mi) {
-                continue;
-            }
-            let t = self.text(mi);
-            let hit = match t {
-                b"thread_rng" | b"from_entropy" | b"OsRng" | b"getrandom" => true,
-                b"random" => {
-                    // `rand::random` — bare `random` idents (a field or
-                    // method of that name) are not the rand crate's.
-                    self.text(mi.wrapping_sub(1)) == b":"
-                        && self.text(mi.wrapping_sub(2)) == b":"
-                        && self.text(mi.wrapping_sub(3)) == b"rand"
-                }
-                _ => false,
-            };
-            if hit {
-                self.push(
-                    diags,
-                    RuleId::UnseededRng,
-                    mi,
-                    format!(
-                        "`{}` draws entropy outside the scenario seed; thread an explicit \
-                         seeded RNG (e.g. `StdRng::seed_from_u64`) through instead",
-                        String::from_utf8_lossy(t)
-                    ),
-                );
-            }
-        }
-    }
-
-    /// `wall-clock`: `SystemTime::now` / `Instant::now` in pipeline code.
-    fn wall_clock(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if self.is_test(mi) {
-                continue;
-            }
-            let t = self.text(mi);
-            if (t == b"SystemTime" || t == b"Instant")
-                && self.text(mi + 1) == b":"
-                && self.text(mi + 2) == b":"
-                && self.text(mi + 3) == b"now"
-            {
-                self.push(
-                    diags,
-                    RuleId::WallClock,
-                    mi,
-                    format!(
-                        "`{}::now()` reads the host clock; pipeline results must depend on \
-                         simulated time only (deadline/observability code may justify this \
-                         with an allow marker)",
-                        String::from_utf8_lossy(t)
-                    ),
-                );
-            }
-        }
-    }
-
-    /// `float-ordering`: `partial_cmp` call sites (definitions of the
-    /// `PartialOrd` trait method are exempt).
-    fn float_ordering(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if self.is_test(mi) {
-                continue;
-            }
-            if self.text(mi) == b"partial_cmp" && self.text(mi.wrapping_sub(1)) != b"fn" {
-                self.push(
-                    diags,
-                    RuleId::FloatOrdering,
-                    mi,
-                    "`partial_cmp` is fallible on NaN and its fallback branch breaks total \
-                     ordering; use `f64::total_cmp` (or justify with an allow marker)"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    /// `forbidden-panic`: aborting macros in library code.
-    fn forbidden_panic(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if self.is_test(mi) {
-                continue;
-            }
-            let t = self.text(mi);
-            if matches!(t, b"panic" | b"unreachable" | b"todo" | b"unimplemented")
-                && self.text(mi + 1) == b"!"
-            {
-                self.push(
-                    diags,
-                    RuleId::ForbiddenPanic,
-                    mi,
-                    format!(
-                        "`{}!` aborts the pipeline; return a `VpError`/degrade instead, or \
-                         justify the invariant with an allow marker",
-                        String::from_utf8_lossy(t)
-                    ),
-                );
-            }
-        }
-    }
-
-    /// `unsafe-code` (usage half): any `unsafe` keyword in library code.
-    fn unsafe_code(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if self.is_test(mi) {
-                continue;
-            }
-            if self.text(mi) == b"unsafe" {
-                self.push(
-                    diags,
-                    RuleId::UnsafeCode,
-                    mi,
-                    "`unsafe` is forbidden workspace-wide (#![forbid(unsafe_code)])".to_string(),
-                );
-            }
-        }
-    }
-
-    /// `unsafe-code` (attribute half): a crate root must carry
-    /// `#![forbid(unsafe_code)]` (or `deny` where forbid is impossible).
-    fn require_forbid_unsafe(&self, diags: &mut Vec<Diagnostic>) {
-        for mi in 0..self.meaningful.len() {
-            if (self.text(mi) == b"forbid" || self.text(mi) == b"deny")
-                && self.text(mi + 1) == b"("
-                && self.text(mi + 2) == b"unsafe_code"
-            {
-                return;
-            }
-        }
-        diags.push(Diagnostic {
-            rule: RuleId::UnsafeCode,
-            path: self.rel_path.to_string(),
-            line: 1,
-            col: 1,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-            allowed: false,
-            reason: None,
-        });
-    }
+/// `unsafe-code` (attribute half): whether the file carries
+/// `#![forbid(unsafe_code)]` (or `deny` where forbid is impossible).
+fn forbids_unsafe(file: &FileModel) -> bool {
+    (0..file.meaningful.len()).any(|mi| {
+        (file.text(mi) == b"forbid" || file.text(mi) == b"deny")
+            && file.text(mi + 1) == b"("
+            && file.text(mi + 2) == b"unsafe_code"
+    })
 }
 
 #[cfg(test)]
@@ -601,8 +378,12 @@ mod tests {
 
     const LIB: &str = "crates/demo/src/engine.rs";
 
+    fn lint_one(path: &str, src: &[u8]) -> Vec<Diagnostic> {
+        crate::lint(&[(path.to_string(), src.to_vec())]).diagnostics
+    }
+
     fn active(src: &str) -> Vec<(RuleId, u32)> {
-        lint_source(LIB, src.as_bytes())
+        lint_one(LIB, src.as_bytes())
             .into_iter()
             .filter(|d| !d.allowed)
             .map(|d| (d.rule, d.line))
@@ -642,7 +423,7 @@ mod tests {
     #[test]
     fn marker_suppresses_but_still_reports() {
         let src = "fn f(m: std::collections::HashMap<u64, u64>) -> usize {\n    // vp-lint: allow(nondeterministic-iteration) — consumer folds order-free\n    m.values().sum::<u64>() as usize\n}";
-        let all = lint_source(LIB, src.as_bytes());
+        let all = lint_one(LIB, src.as_bytes());
         assert_eq!(active(src), vec![]);
         assert!(all.iter().any(|d| d.allowed
             && d.rule == RuleId::NondeterministicIteration
@@ -658,13 +439,12 @@ mod tests {
     }
 
     #[test]
-    fn rng_wall_clock_float_panic() {
-        let src = "fn f() {\n    let r = rand::thread_rng();\n    let t = std::time::Instant::now();\n    let o = 1.0_f64.partial_cmp(&2.0);\n    panic!(\"no\");\n}";
+    fn wall_clock_float_panic() {
+        let src = "fn f() {\n    let t = std::time::Instant::now();\n    let o = 1.0_f64.partial_cmp(&2.0);\n    panic!(\"no\");\n}";
         let rules: Vec<RuleId> = active(src).into_iter().map(|(r, _)| r).collect();
         assert_eq!(
             rules,
             vec![
-                RuleId::UnseededRng,
                 RuleId::WallClock,
                 RuleId::FloatOrdering,
                 RuleId::ForbiddenPanic
@@ -680,7 +460,7 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let r = rand::thread_rng();\n        panic!(\"fine in tests\");\n    }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let t = std::time::Instant::now();\n        panic!(\"fine in tests\");\n    }\n}";
         assert_eq!(active(src), vec![]);
     }
 
@@ -688,11 +468,8 @@ mod tests {
     fn crate_root_requires_forbid() {
         let with = "#![forbid(unsafe_code)]\npub fn f() {}\n";
         let without = "pub fn f() {}\n";
-        assert_eq!(
-            lint_source("crates/demo/src/lib.rs", with.as_bytes()),
-            vec![]
-        );
-        let d = lint_source("crates/demo/src/lib.rs", without.as_bytes());
+        assert_eq!(lint_one("crates/demo/src/lib.rs", with.as_bytes()), vec![]);
+        let d = lint_one("crates/demo/src/lib.rs", without.as_bytes());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, RuleId::UnsafeCode);
     }
@@ -705,14 +482,15 @@ mod tests {
 
     #[test]
     fn strings_and_comments_never_trigger() {
-        let src = "pub fn f() -> &'static str {\n    // thread_rng, Instant::now, panic! in a comment\n    \"thread_rng Instant::now panic! unsafe\"\n}";
+        let src = "pub fn f() -> &'static str {\n    // Instant::now, partial_cmp, panic! in a comment\n    \"Instant::now partial_cmp panic! unsafe\"\n}";
         assert_eq!(active(src), vec![]);
     }
 
     #[test]
     fn non_library_paths_get_marker_hygiene_only() {
-        let src = "fn t() { let r = rand::thread_rng(); }\n// vp-lint: allow(unknown-rule) — x\n";
-        let d = lint_source("tests/integration.rs", src.as_bytes());
+        let src =
+            "fn t() { let t = std::time::Instant::now(); }\n// vp-lint: allow(unknown-rule) — x\n";
+        let d = lint_one("tests/integration.rs", src.as_bytes());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, RuleId::BadMarker);
     }

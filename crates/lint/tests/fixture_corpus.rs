@@ -1,18 +1,21 @@
 //! Drives the fixture corpus under `tests/fixtures/`: one directory per
 //! rule, each holding at least two `bad_*.rs` cases and one `allowed.rs`.
+//! Every fixture runs through the one engine, [`vp_lint::lint`], so every
+//! rule sees every fixture; a finding of another rule is annotated too.
 //!
 //! Expectation syntax inside fixtures: a trailing `//~ <rule>` comment
 //! pins a diagnostic to its own line, `//~^ <rule>` to the line above
 //! (needed where the trailing text would be swallowed by a marker's
-//! justification). A `bad_*.rs` file must produce *exactly* its annotated
-//! active findings; an `allowed.rs` file must produce none, and every
-//! marker it carries must have suppressed something.
+//! justification, or where a line carries two findings). A `bad_*.rs`
+//! file must produce *exactly* its annotated active findings; an
+//! `allowed.rs` file must produce none, and every marker it carries must
+//! have suppressed something.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use vp_lint::{analyze_files, lint_source, RuleId, ANALYSIS_RULES};
+use vp_lint::{lint, RuleId};
 
 /// Lint path assigned to a fixture: the crate-root attribute check only
 /// fires on `src/lib.rs` paths; everything else pretends to be a module
@@ -88,22 +91,12 @@ fn fixture_corpus_matches_expectations() {
                 .into_owned();
             let src = fs::read_to_string(&file).expect("fixture readable");
             let expected = expectations(&src);
-            // Lexical rules run through `lint_source`; the cross-file
-            // analyses run their whole pass-1/pass-2 pipeline on the
-            // single fixture file.
-            let is_analysis = ANALYSIS_RULES.iter().any(|r| r.name() == rule_name);
-            let diags = if is_analysis {
-                analyze_files(&[(
-                    pretend_path(&file_name).to_string(),
-                    src.clone().into_bytes(),
-                )])
-                .into_iter()
-                .flat_map(|r| r.diagnostics)
-                .collect()
-            } else {
-                lint_source(pretend_path(&file_name), src.as_bytes())
-            };
-            let mut active: Vec<(String, u32)> = diags
+            let report = lint(&[(
+                pretend_path(&file_name).to_string(),
+                src.clone().into_bytes(),
+            )]);
+            let mut active: Vec<(String, u32)> = report
+                .diagnostics
                 .iter()
                 .filter(|d| !d.allowed)
                 .map(|d| (d.rule.name().to_string(), d.line))
@@ -131,9 +124,17 @@ fn fixture_corpus_matches_expectations() {
                     active.is_empty(),
                     "{rule_name}/{file_name}: allowed fixture has active findings: {active:?}"
                 );
+                assert!(
+                    report.stale_markers.is_empty(),
+                    "{rule_name}/{file_name}: markers that suppressed nothing: {:?}",
+                    report.stale_markers
+                );
                 if src.contains("vp-lint: allow(") {
                     assert!(
-                        diags.iter().any(|d| d.allowed && d.reason.is_some()),
+                        report
+                            .diagnostics
+                            .iter()
+                            .any(|d| d.allowed && d.reason.is_some()),
                         "{rule_name}/{file_name}: marker present but nothing was suppressed"
                     );
                 }

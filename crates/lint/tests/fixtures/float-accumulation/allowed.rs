@@ -4,6 +4,6 @@
 use std::collections::HashMap;
 
 pub fn count_mass(m: HashMap<u64, f64>) -> f64 {
-    // vp-lint: allow(float-accumulation) — values are exact small integers; addition is order-insensitive
+    // vp-lint: allow(float-accumulation, nondeterministic-iteration) — values are exact small integers; addition is order-insensitive
     m.values().sum::<f64>()
 }

@@ -5,4 +5,5 @@ use std::collections::HashMap;
 
 pub fn total_weight(weights: HashMap<u64, f64>) -> f64 {
     weights.values().sum::<f64>() //~ float-accumulation
+    //~^ nondeterministic-iteration
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 pub fn energy(cells: HashMap<u32, f64>) -> f64 {
     let mut acc = 0.0;
-    for (_, v) in &cells {
+    for (_, v) in &cells { //~ nondeterministic-iteration
         acc += v; //~ float-accumulation
     }
     acc

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 pub fn weight_sum(seen: &HashSet<u64>) -> f64 {
     let mut acc = 0.0;
     for id in seen { //~ nondeterministic-iteration
-        acc += (*id as f64).sqrt();
+        acc += (*id as f64).sqrt(); //~ float-accumulation
     }
     acc
 }

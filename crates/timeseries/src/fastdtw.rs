@@ -183,6 +183,7 @@ fn project_coarse_levels(
 
 /// Appends the coarsened `buf[start..start + len]` to `buf` and returns
 /// where it starts.
+// vp-lint: allow(panic-reachability) — `at` is the length before the resize, so `split_at_mut(at)` is in range; callers pass the span of an earlier level, which lies below `at`
 fn coarsen_level(buf: &mut Vec<f64>, start: usize, len: usize) -> usize {
     let at = buf.len();
     buf.resize(at + len.div_ceil(2), 0.0);

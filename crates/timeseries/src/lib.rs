@@ -52,7 +52,7 @@ pub mod window;
 
 pub use dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
 pub use fastdtw::{fast_dtw, fast_dtw_with_path};
-pub use lowerbound::{lb_keogh_banded, lb_keogh_envelope, KeoghEnvelope};
+pub use lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 pub use normalize::{min_max_normalize, z_score_enhanced};
 pub use scratch::DtwScratch;
 pub use series::Series;

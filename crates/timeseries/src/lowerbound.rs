@@ -32,8 +32,8 @@
 //! every row's envelope against a partner of **any** length as one
 //! lookup. A comparison sweep builds one per series and radius and
 //! bounds each pair with [`lb_keogh_envelope`], one `O(N)`
-//! read-and-accumulate pass; [`lb_keogh_banded`] builds the tables into
-//! its scratch and runs the same pass.
+//! read-and-accumulate pass; a single pair is bounded the same way,
+//! `lb_keogh_envelope(x, &KeoghEnvelope::build(y, radius))`.
 //!
 //! # Same envelopes as the deque sweep
 //!
@@ -47,7 +47,6 @@
 //! would read — NaN samples included, which `f64::max`/`min` would not
 //! preserve.
 
-use crate::scratch::DtwScratch;
 use crate::window::DiagonalWalk;
 
 /// LB_Keogh envelope tables of one series at one Sakoe–Chiba radius; see
@@ -74,9 +73,18 @@ impl KeoghEnvelope {
     ///
     /// Panics if `y` is empty.
     pub fn build(y: &[f64], radius: usize) -> Self {
-        let mut envelope = KeoghEnvelope::default();
-        envelope.fill(y, radius, &mut Vec::new());
-        envelope
+        assert!(!y.is_empty(), "lb_keogh requires non-empty series");
+        let mut cols = vec![[f64::NAN; 4]; y.len()];
+        let mut stack = Vec::new();
+        let whole = [
+            extremes(y, radius, &mut stack, 0, &mut cols, |back, new| back <= new),
+            extremes(y, radius, &mut stack, 1, &mut cols, |back, new| back >= new),
+        ];
+        KeoghEnvelope {
+            radius,
+            whole,
+            cols,
+        }
     }
 
     /// Band half-width the tables were built for.
@@ -92,17 +100,6 @@ impl KeoghEnvelope {
     /// Whether the tables cover no samples (only for a default value).
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
-    }
-
-    /// Rebuilds the tables in place for `y` at `radius`, reusing this
-    /// envelope's buffer and `stack`.
-    pub(crate) fn fill(&mut self, y: &[f64], radius: usize, stack: &mut Vec<usize>) {
-        assert!(!y.is_empty(), "lb_keogh requires non-empty series");
-        self.radius = radius;
-        self.cols.clear();
-        self.cols.resize(y.len(), [f64::NAN; 4]);
-        self.whole[0] = extremes(y, radius, stack, 0, &mut self.cols, |back, new| back <= new);
-        self.whole[1] = extremes(y, radius, stack, 1, &mut self.cols, |back, new| back >= new);
     }
 }
 
@@ -213,31 +210,17 @@ fn gap_cost(xi: f64, hi: f64, lo: f64) -> f64 {
     over * over + under * under
 }
 
-/// LB_Keogh lower bound on [`crate::dtw::dtw_banded`]`(x, y, radius, …)`
-/// for one pair: builds `y`'s [`KeoghEnvelope`] into `scratch` and reads
-/// it with [`lb_keogh_envelope`]. A caller that bounds many pairs against
-/// the same series builds the envelope once instead.
-///
-/// # Panics
-///
-/// Panics if either series is empty.
-pub fn lb_keogh_banded(x: &[f64], y: &[f64], radius: usize, scratch: &mut DtwScratch) -> f64 {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "lb_keogh requires non-empty series"
-    );
-    let DtwScratch {
-        envelope, stack, ..
-    } = scratch;
-    envelope.fill(y, radius, stack);
-    lb_keogh_envelope(x, envelope)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dtw::dtw_banded;
+    use crate::DtwScratch;
     use vp_stats::rng::SplitMix64;
+
+    /// The single-pair bound: `y`'s tables built for this one pair.
+    fn pair_lb(x: &[f64], y: &[f64], radius: usize) -> f64 {
+        lb_keogh_envelope(x, &KeoghEnvelope::build(y, radius))
+    }
 
     fn pseudo_random(seed: u64, n: usize, scale: f64) -> Vec<f64> {
         let mut rng = SplitMix64::seed_from_u64(seed);
@@ -261,7 +244,7 @@ mod tests {
         ] {
             let x = pseudo_random(n as u64 * 31 + m as u64, n, 10.0);
             let y = pseudo_random(m as u64 * 17 + 5, m, 10.0);
-            let lb = lb_keogh_banded(&x, &y, radius, &mut scratch);
+            let lb = pair_lb(&x, &y, radius);
             let d = dtw_banded(&x, &y, radius, None, &mut scratch).value();
             assert!(lb <= d + 1e-9, "lb {lb} > dtw {d} for ({n},{m},r={radius})");
             assert!(lb >= 0.0);
@@ -271,14 +254,14 @@ mod tests {
     #[test]
     fn identical_series_have_zero_bound() {
         let x = pseudo_random(9, 64, 6.0);
-        assert_eq!(lb_keogh_banded(&x, &x, 2, &mut DtwScratch::new()), 0.0);
+        assert_eq!(pair_lb(&x, &x, 2), 0.0);
     }
 
     #[test]
     fn distant_series_have_positive_bound() {
         let x: Vec<f64> = (0..40).map(|i| i as f64 * 0.05).collect();
         let y: Vec<f64> = (0..40).map(|i| 30.0 + i as f64 * 0.05).collect();
-        let lb = lb_keogh_banded(&x, &y, 3, &mut DtwScratch::new());
+        let lb = pair_lb(&x, &y, 3);
         assert!(lb > 0.0);
         // Each of the 40 rows is ~30 off: the bound should be substantial.
         assert!(lb > 40.0 * 25.0 * 25.0);
@@ -287,6 +270,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_input_panics() {
-        lb_keogh_banded(&[], &[1.0], 1, &mut DtwScratch::new());
+        pair_lb(&[], &[1.0], 1);
     }
 }

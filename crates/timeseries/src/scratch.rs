@@ -1,14 +1,12 @@
 //! Reusable scratch storage for the DTW kernels.
 //!
-//! Every distance kernel in this crate — [`crate::dtw::dtw`],
-//! [`crate::dtw::dtw_banded`], [`crate::fastdtw::fast_dtw`] and
-//! [`crate::lowerbound::lb_keogh_banded`] — takes its working memory from
-//! a [`DtwScratch`]: the DP's last three anti-diagonals and the per-row
-//! minima of its abandon rule (filled only up to the rows the wavefront
-//! reaches); the flat table of windowed cells that FastDTW's coarse
-//! levels backtrack through, and their coarsened series, paths and
-//! windows; and the LB_Keogh envelope tables with the stack that builds
-//! them. A caller that measures
+//! Every DTW kernel in this crate — [`crate::dtw::dtw`],
+//! [`crate::dtw::dtw_banded`] and [`crate::fastdtw::fast_dtw`] — takes
+//! its working memory from a [`DtwScratch`]: the DP's last three
+//! anti-diagonals and the per-row minima of its abandon rule (filled only
+//! up to the rows the wavefront reaches); and the flat table of windowed
+//! cells that FastDTW's coarse levels backtrack through, and their
+//! coarsened series, paths and windows. A caller that measures
 //! many pairs — the comparison phase visits `n·(n−1)/2` of them per
 //! detection period — allocates once per worker thread instead of once
 //! per pair.
@@ -26,8 +24,6 @@
 //! * A scratch is plain owned data (`Send`), but not shared: give each
 //!   worker thread its own (see `vp-par`'s per-worker `init`), never one
 //!   scratch to two threads.
-
-use crate::lowerbound::KeoghEnvelope;
 
 /// Reusable working memory for the DTW kernels; see the module docs for
 /// the lifetime rules.
@@ -53,10 +49,6 @@ pub struct DtwScratch {
     pub(crate) pyramid_x: Vec<f64>,
     /// FastDTW's coarsening pyramid of the second series.
     pub(crate) pyramid_y: Vec<f64>,
-    /// LB_Keogh envelope tables of the last partner series.
-    pub(crate) envelope: KeoghEnvelope,
-    /// Monotonic stack that builds the envelope tables.
-    pub(crate) stack: Vec<usize>,
 }
 
 impl DtwScratch {
@@ -81,7 +73,6 @@ mod tests {
     use super::*;
     use crate::dtw::{dtw, dtw_banded};
     use crate::fastdtw::fast_dtw;
-    use crate::lowerbound::lb_keogh_banded;
 
     fn wave(n: usize, phase: f64) -> Vec<f64> {
         (0..n)
@@ -112,11 +103,6 @@ mod tests {
                 fast_dtw(&x, &y, 1, &mut scratch).to_bits(),
                 fast_dtw(&x, &y, 1, &mut DtwScratch::new()).to_bits(),
                 "fast dtw diverged at shape {n}x{m}"
-            );
-            assert_eq!(
-                lb_keogh_banded(&x, &y, 5, &mut scratch).to_bits(),
-                lb_keogh_banded(&x, &y, 5, &mut DtwScratch::new()).to_bits(),
-                "lb_keogh diverged at shape {n}x{m}"
             );
         }
     }

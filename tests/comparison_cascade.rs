@@ -23,7 +23,7 @@ use voiceprint::comparator::{compare, compare_with_cache, ComparisonConfig};
 use voiceprint::ComparisonCache;
 use vp_stats::rng::SplitMix64;
 use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
-use vp_timeseries::lowerbound::lb_keogh_banded;
+use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 use vp_timeseries::normalize::z_score_enhanced;
 use vp_timeseries::scratch::DtwScratch;
 use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch};
@@ -162,7 +162,7 @@ fn unrolled_kernels_match_scalar_bit_for_bit() {
             "case {case}"
         );
         let lb_scalar = scalar_lb_keogh(&x, &y, radius);
-        let lb_x4 = lb_keogh_banded(&x, &y, radius, &mut scratch);
+        let lb_x4 = lb_keogh_envelope(&x, &KeoghEnvelope::build(&y, radius));
         assert_eq!(lb_scalar.to_bits(), lb_x4.to_bits(), "case {case}");
         // The same DP over the full matrix.
         let e_scalar = scalar_exact(&x, &y);
@@ -189,13 +189,13 @@ fn unrolled_kernels_match_scalar_on_arbitrary_bit_patterns() {
         let d_x4 = dtw_banded(&x, &y, radius, None, &mut scratch).value();
         assert_eq!(d_scalar.to_bits(), d_x4.to_bits(), "case {case}");
         let lb_scalar = scalar_lb_keogh(&x, &y, radius);
-        let lb_x4 = lb_keogh_banded(&x, &y, radius, &mut scratch);
+        let lb_x4 = lb_keogh_envelope(&x, &KeoghEnvelope::build(&y, radius));
         assert_eq!(lb_scalar.to_bits(), lb_x4.to_bits(), "case {case}");
     }
 }
 
 /// One pair of a pruned banded sweep, stage by stage from the public
-/// kernels: the sketch bound, then `lb_keogh_banded`, then the abandoning
+/// kernels: the sketch bound, then LB_Keogh, then the abandoning
 /// `dtw_banded`, each against the threshold in raw-cost units, and the
 /// per-step division of the calibrated configuration.
 fn cascade_reference(a: &[f64], b: &[f64], band_fraction: f64, threshold: f64) -> f64 {
@@ -206,7 +206,7 @@ fn cascade_reference(a: &[f64], b: &[f64], band_fraction: f64, threshold: f64) -
     let raw = if slb > t_raw {
         slb
     } else {
-        let lb = lb_keogh_banded(a, b, radius, &mut DtwScratch::new());
+        let lb = lb_keogh_envelope(a, &KeoghEnvelope::build(b, radius));
         if lb > t_raw {
             lb
         } else {

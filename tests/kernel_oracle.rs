@@ -12,7 +12,8 @@
 //!    scalar DP over the same band: the value, the abandon decision and
 //!    the carried bound;
 //! 2. `dtw` against the scalar DP over the full matrix;
-//! 3. `lb_keogh_banded` against the scalar LB_Keogh;
+//! 3. LB_Keogh, one pair's envelope tables built and read, against the
+//!    scalar LB_Keogh;
 //! 4. `fast_dtw` against `fast_dtw_with_path(..).0`, whose top level runs
 //!    the independent path-keeping DP;
 //! 5. `sakoe_chiba_range` against the `f64` band edges on every row of a
@@ -48,7 +49,7 @@ use oracle::{
 use vp_stats::rng::SplitMix64;
 use vp_timeseries::dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
 use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
-use vp_timeseries::lowerbound::{lb_keogh_banded, lb_keogh_envelope, KeoghEnvelope};
+use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 use vp_timeseries::window::{sakoe_chiba_range, SakoeChibaEdges};
 use vp_timeseries::DtwScratch;
 
@@ -109,7 +110,7 @@ fn check_pair(
         );
     }
     assert_same(
-        lb_keogh_banded(x, y, radius, scratch),
+        lb_keogh_envelope(x, &KeoghEnvelope::build(y, radius)),
         scalar_lb_keogh(x, y, radius),
         &format!("{what}: lb_keogh r={radius}"),
     );
@@ -451,7 +452,6 @@ fn with_bad(rng: &mut SplitMix64, n: usize, bad: f64, at: &[usize]) -> Vec<f64> 
 #[test]
 fn envelope_tables_match_the_scalar_lb() {
     let mut rng = SplitMix64::seed_from_u64(77);
-    let mut scratch = DtwScratch::new();
     // Partner lengths around each table's: one row, one column, equal,
     // and `cols ≥ 2·rows` either way round.
     let lengths = [1usize, 2, 3, 5, 8, 13, 40, 81, 160];
@@ -467,7 +467,6 @@ fn envelope_tables_match_the_scalar_lb() {
                     let what = format!("{n}x{m} r={radius} bad={bad}");
                     let oracle = scalar_lb_keogh(&x, &y, radius);
                     assert_same(lb_keogh_envelope(&x, &table), oracle, &what);
-                    assert_same(lb_keogh_banded(&x, &y, radius, &mut scratch), oracle, &what);
                 }
             }
         }

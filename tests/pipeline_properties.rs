@@ -12,7 +12,7 @@ use voiceprint::threshold::ThresholdPolicy;
 use vp_stats::rng::SplitMix64;
 use vp_timeseries::dtw::{dtw, dtw_banded, dtw_with_path, is_valid_warp_path};
 use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
-use vp_timeseries::lowerbound::lb_keogh_banded;
+use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
 use vp_timeseries::scratch::DtwScratch;
 
@@ -245,7 +245,7 @@ fn scratch_kernels_match_allocating_kernels() {
             fast_dtw_with_path(&x, &y, 1).0.to_bits(),
             "case {case}"
         );
-        let lb = lb_keogh_banded(&x, &y, radius, &mut scratch);
+        let lb = lb_keogh_envelope(&x, &KeoghEnvelope::build(&y, radius));
         assert_eq!(
             lb.to_bits(),
             scalar_lb_keogh(&x, &y, radius).to_bits(),
