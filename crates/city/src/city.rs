@@ -34,7 +34,7 @@ use vp_sim::IdentityId;
 pub struct CityConfig {
     /// Per-shard runtime configuration (every shard runs the same one).
     pub runtime: RuntimeConfig,
-    /// Verdict-fusion policy.
+    /// Verdict fusion (majority, the only rule).
     pub fusion: FusionConfig,
     /// Shards executed concurrently; `0` means [`vp_par::max_threads`].
     pub worker_threads: usize,

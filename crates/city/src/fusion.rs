@@ -1,16 +1,12 @@
 //! Deterministic city-wide verdict fusion.
 //!
 //! Each shard produces per-boundary [`voiceprint::SybilVerdict`]s from
-//! its own vantage point. Fusion merges them: at every detection
-//! boundary, each observer that *evaluated* an identity (it appears in
-//! the shard's pair-audit trail or suspect list) casts one vote — guilty
-//! if the shard flagged it, innocent otherwise — and the city flags the
-//! identity when the guilty votes hold a strict majority of the cast
-//! weight. [`FusionPolicy::WitnessWeighted`] doubles the weight of
-//! observers holding a valid certificate from the CPVSAD certification
-//! authority ([`vp_baseline::certification`]), reusing the baseline's
-//! witness-trust machinery: a certified roadside unit outvotes an
-//! uncertified (possibly Sybil-controlled) bystander.
+//! its own vantage point. Fusion merges them by majority: at every
+//! detection boundary, each observer that *evaluated* an identity (it
+//! appears in the shard's pair-audit trail or suspect list) casts one
+//! vote — guilty if the shard flagged it, innocent otherwise — and the
+//! city flags the identity when the guilty votes are a strict majority
+//! of the votes cast.
 //!
 //! Determinism: shards are sorted by `(cell, observer)` before any
 //! tallying and every map in the pipeline is a `BTreeMap`, so the fused
@@ -18,51 +14,20 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vp_baseline::certification::CertificationAuthority;
 use vp_runtime::WindowReport;
 use vp_sim::IdentityId;
 
 use crate::shard::ShardOutcome;
 
-/// How per-observer votes combine into the city verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionPolicy {
-    /// One observer, one vote.
-    Majority,
-    /// Observers certified by the configured authority carry double
-    /// weight; uncertified observers carry weight one.
-    WitnessWeighted,
-}
-
-/// Fusion configuration: the vote policy plus, for
-/// [`FusionPolicy::WitnessWeighted`], the certification authority whose
-/// certificates confer extra weight.
-#[derive(Debug, Clone)]
-pub struct FusionConfig {
-    /// Vote-combination policy.
-    pub policy: FusionPolicy,
-    /// Authority consulted for observer certificates. Ignored under
-    /// [`FusionPolicy::Majority`]; when absent under
-    /// [`FusionPolicy::WitnessWeighted`], every observer weighs one and
-    /// the policies coincide.
-    pub authority: Option<CertificationAuthority>,
-}
+/// Verdict fusion: one observer, one vote. It has no settings; the type
+/// names the fusion rule where a city configuration carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FusionConfig;
 
 impl FusionConfig {
     /// Plain one-observer-one-vote fusion.
     pub fn majority() -> Self {
-        FusionConfig {
-            policy: FusionPolicy::Majority,
-            authority: None,
-        }
-    }
-
-    /// Witness-weighted fusion against the given authority.
-    pub fn witness_weighted(authority: CertificationAuthority) -> Self {
-        FusionConfig {
-            policy: FusionPolicy::WitnessWeighted,
-            authority: Some(authority),
-        }
+        FusionConfig
     }
 }
 
@@ -71,9 +36,9 @@ impl FusionConfig {
 pub struct IdentityTally {
     /// The identity voted on.
     pub identity: IdentityId,
-    /// Total weight of observers that flagged it.
+    /// Observers that flagged it.
     pub votes_for: u64,
-    /// Total weight of observers that evaluated it (flagged or not).
+    /// Observers that evaluated it (flagged or not), one vote each.
     pub weight_evaluated: u64,
     /// Whether the city flags it: `2 * votes_for > weight_evaluated`.
     pub flagged: bool,
@@ -96,14 +61,6 @@ pub struct FusedRound {
     pub degraded: bool,
 }
 
-/// Weight of one observer's vote under `config` at time `time_s`.
-fn observer_weight(config: &FusionConfig, observer: IdentityId, time_s: f64) -> u64 {
-    match (config.policy, &config.authority) {
-        (FusionPolicy::WitnessWeighted, Some(ca)) if ca.is_certified(observer, time_s) => 2,
-        _ => 1,
-    }
-}
-
 /// Identities a shard evaluated in one window: everything its audit
 /// trail compared plus everything it flagged (a deadline-truncated sweep
 /// may flag without a surviving audit record).
@@ -117,26 +74,27 @@ fn evaluated_identities(report: &WindowReport) -> BTreeSet<IdentityId> {
     ids
 }
 
-/// Fuses per-shard window reports into one city verdict per boundary.
+/// Fuses per-shard window reports into one city verdict per boundary,
+/// one vote per observer ([`FusionConfig`]).
 ///
 /// Shards may be passed in any order — the function sorts internally by
 /// `(cell, observer)` and keys boundaries through a `BTreeMap`, so the
 /// result is bit-deterministic regardless of completion order. Boundary
 /// times are grouped by exact bit pattern: shards run on one city clock,
 /// so equal boundaries are bit-equal by construction.
-pub fn fuse(shards: &[ShardOutcome], config: &FusionConfig) -> Vec<FusedRound> {
+pub fn fuse(shards: &[ShardOutcome], _majority: &FusionConfig) -> Vec<FusedRound> {
     let mut ordered: Vec<&ShardOutcome> = shards.iter().collect();
     ordered.sort_by_key(|s| (s.cell, s.observer));
 
     // Boundary times are non-negative finite (the runtime validates its
     // clock), so the IEEE-754 bit pattern orders identically to the value.
-    let mut boundaries: BTreeMap<u64, Vec<(&ShardOutcome, &WindowReport)>> = BTreeMap::new();
+    let mut boundaries: BTreeMap<u64, Vec<&WindowReport>> = BTreeMap::new();
     for shard in ordered {
         for report in shard.reports() {
             boundaries
                 .entry(report.time_s.to_bits())
                 .or_default()
-                .push((shard, report));
+                .push(report);
         }
     }
 
@@ -146,15 +104,14 @@ pub fn fuse(shards: &[ShardOutcome], config: &FusionConfig) -> Vec<FusedRound> {
         // identity → (votes_for, weight_evaluated)
         let mut tally: BTreeMap<IdentityId, (u64, u64)> = BTreeMap::new();
         let mut degraded = false;
-        for (shard, report) in votes {
+        for report in votes {
             degraded |= report.verdict.degraded_confidence();
-            let weight = observer_weight(config, shard.observer, time_s);
             let flagged: BTreeSet<IdentityId> = report.verdict.suspects().iter().copied().collect();
             for id in evaluated_identities(report) {
                 let entry = tally.entry(id).or_insert((0, 0));
-                entry.1 += weight;
+                entry.1 += 1;
                 if flagged.contains(&id) {
-                    entry.0 += weight;
+                    entry.0 += 1;
                 }
             }
         }
@@ -250,21 +207,6 @@ mod tests {
         let fused = fuse(&shards, &FusionConfig::majority());
         // 1 guilty vote of 2 cast: 2*1 > 2 is false — acquitted.
         assert!(fused[0].suspects.is_empty());
-    }
-
-    #[test]
-    fn witness_weight_breaks_the_tie() {
-        let mut ca = CertificationAuthority::new(1.0e6);
-        ca.issue(1, 0.0); // certify the observer that saw the attack
-        let shards = vec![
-            shard_with_sybils(1, 0, true),
-            shard_with_sybils(2, 1, false),
-        ];
-        let fused = fuse(&shards, &FusionConfig::witness_weighted(ca));
-        // Certified guilty vote weighs 2 of 3 cast: 2*2 > 3 — flagged.
-        assert!(fused[0].suspects.contains(&101));
-        let t = fused[0].tally.iter().find(|t| t.identity == 101).unwrap();
-        assert_eq!((t.votes_for, t.weight_evaluated), (2, 3));
     }
 
     #[test]

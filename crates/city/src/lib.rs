@@ -13,9 +13,9 @@
 //!   observer's in-memory feed. Shards share nothing, so [`city`] runs
 //!   them on vp-par's scoped fork-join, up to `worker_threads` at a time.
 //! * [`fusion`] merges the per-observer [`voiceprint::SybilVerdict`]s at
-//!   each detection boundary into one city-wide verdict by majority or
-//!   witness-weighted vote, bit-deterministically regardless of which
-//!   shard finished first.
+//!   each detection boundary into one city-wide verdict by majority
+//!   vote, one vote per observer, bit-deterministically regardless of
+//!   which shard finished first.
 //! * [`snapshot::CitySnapshot`] composes every shard's versioned runtime
 //!   checkpoint into a single restorable frame, so a crashed city
 //!   process resumes every shard mid-window.
@@ -39,6 +39,6 @@ pub mod snapshot;
 
 pub use cell::{CellGrid, CellId};
 pub use city::{resume_city, run_city, run_scenario_city, CityConfig, CityOutcome};
-pub use fusion::{fuse, FusedRound, FusionConfig, FusionPolicy, IdentityTally};
+pub use fusion::{fuse, FusedRound, FusionConfig, IdentityTally};
 pub use shard::{ObserverFeed, ShardOutcome};
 pub use snapshot::{CitySnapshot, ShardSnapshot};

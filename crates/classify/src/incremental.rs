@@ -29,12 +29,14 @@
 //!    otherwise the slope is left untouched. The intercept target is then
 //!    `T* − k·den̄` at the evidence's mean density.
 //! 3. **Bounded step.** Each component moves by
-//!    `clamp(learning_rate · (target − current), ±max_step_fraction·|v₀|)`
-//!    where `v₀` is that component's *initial* (trained) value — a single
-//!    round can never move a component by more than a fixed fraction of
-//!    its trained magnitude.
+//!    `clamp(0.5 · (target − current), ±|v₀|)` where `v₀` is that
+//!    component's *initial* (trained) value: half the distance to the
+//!    target, and never more than the component's trained magnitude in
+//!    one round.
 //! 4. **Absolute clamp.** After the step, each component is clamped into
-//!    `[min_scale·v₀, max_scale·v₀]` — the line can never leave a fixed
+//!    its corridor `[0.25·v₀, max_scale·v₀]`
+//!    ([`IncrementalBoundary::clamp_to_corridor`]), where `max_scale` is
+//!    the one value the caller chooses — the line can never leave a fixed
 //!    corridor around the trained boundary, so a poisoned evidence stream
 //!    cannot drag the detector arbitrarily far. A component trained at
 //!    exactly zero is frozen at zero (its corridor is degenerate).
@@ -63,50 +65,17 @@ pub struct LabelledPoint {
     pub sybil_like: bool,
 }
 
-/// Tuning knobs for the bounded-step update rule. See the module docs for
-/// the full contract.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NudgeConfig {
-    /// Fraction of the distance to the target covered per round (`0..=1`).
-    pub learning_rate: f64,
-    /// Per-round step cap, as a fraction of each component's trained
-    /// magnitude.
-    pub max_step_fraction: f64,
-    /// Lower corridor bound, as a multiple of the trained component.
-    pub min_scale: f64,
-    /// Upper corridor bound, as a multiple of the trained component.
-    pub max_scale: f64,
-}
+/// Fraction of the distance to the nudge target covered per round
+/// (contract step 3).
+const LEARNING_RATE: f64 = 0.5;
 
-impl Default for NudgeConfig {
-    fn default() -> Self {
-        NudgeConfig {
-            learning_rate: 0.5,
-            max_step_fraction: 1.0,
-            min_scale: 0.25,
-            max_scale: 8.0,
-        }
-    }
-}
+/// Per-round step cap, as a fraction of each component's trained
+/// magnitude (contract step 3).
+const MAX_STEP_FRACTION: f64 = 1.0;
 
-impl NudgeConfig {
-    /// Validates the knob ranges.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if !(self.learning_rate > 0.0 && self.learning_rate <= 1.0) {
-            return Err("learning_rate must be in (0, 1]");
-        }
-        if !(self.max_step_fraction > 0.0 && self.max_step_fraction.is_finite()) {
-            return Err("max_step_fraction must be positive and finite");
-        }
-        if !(self.min_scale > 0.0 && self.min_scale <= 1.0) {
-            return Err("min_scale must be in (0, 1]");
-        }
-        if !(self.max_scale >= 1.0 && self.max_scale.is_finite()) {
-            return Err("max_scale must be at least 1 and finite");
-        }
-        Ok(())
-    }
-}
+/// Lower corridor bound, as a multiple of the trained component
+/// (contract step 4).
+const MIN_SCALE: f64 = 0.25;
 
 /// A [`DecisionLine`] plus the machinery to nudge it online. The trained
 /// line is retained as the anchor for every clamp, so the adapted line is
@@ -115,7 +84,8 @@ impl NudgeConfig {
 pub struct IncrementalBoundary {
     initial: DecisionLine,
     line: DecisionLine,
-    config: NudgeConfig,
+    /// Upper corridor bound, as a multiple of the trained component.
+    max_scale: f64,
     updates: u64,
 }
 
@@ -131,19 +101,22 @@ fn quantile(values: &[f64], q: f64) -> f64 {
 }
 
 impl IncrementalBoundary {
-    /// Wraps a trained line with the given update knobs.
+    /// Wraps a trained line whose components may rise to `max_scale`
+    /// times their trained values.
     ///
-    /// Returns `Err` when the knobs fail [`NudgeConfig::validate`] or the
+    /// Returns `Err` when `max_scale` is below 1 or not finite, or the
     /// line has a non-finite component.
-    pub fn new(initial: DecisionLine, config: NudgeConfig) -> Result<Self, &'static str> {
-        config.validate()?;
+    pub fn new(initial: DecisionLine, max_scale: f64) -> Result<Self, &'static str> {
+        if !(max_scale >= 1.0 && max_scale.is_finite()) {
+            return Err("max_scale must be at least 1 and finite");
+        }
         if !initial.k.is_finite() || !initial.b.is_finite() {
             return Err("decision line components must be finite");
         }
         Ok(IncrementalBoundary {
             initial,
             line: initial,
-            config,
+            max_scale,
             updates: 0,
         })
     }
@@ -163,21 +136,38 @@ impl IncrementalBoundary {
         self.updates
     }
 
+    /// The corridor `[0.25·v₀, max_scale·v₀]`, lower edge first, of a
+    /// component trained at `v0` (contract step 4).
+    fn corridor(&self, v0: f64) -> (f64, f64) {
+        let lo = MIN_SCALE * v0;
+        let hi = self.max_scale * v0;
+        (lo.min(hi), lo.max(hi))
+    }
+
+    /// Clamps `v` into the corridor of a component trained at `v0`; a
+    /// component trained at zero is frozen at zero. Every adapted line,
+    /// and every widening of one, passes through here.
+    pub fn clamp_to_corridor(&self, v: f64, v0: f64) -> f64 {
+        if v0 == 0.0 {
+            // Degenerate corridor: a component trained at zero stays zero.
+            return 0.0;
+        }
+        let (lo, hi) = self.corridor(v0);
+        v.clamp(lo, hi)
+    }
+
     /// One bounded step of component `v` toward `target`, anchored at the
     /// trained value `v0` (contract steps 3–4).
     fn step_component(&self, v: f64, v0: f64, target: f64) -> f64 {
         if v0 == 0.0 {
-            // Degenerate corridor: a component trained at zero stays zero.
             return 0.0;
         }
         if !target.is_finite() {
             return v;
         }
-        let cap = self.config.max_step_fraction * v0.abs();
-        let step = (self.config.learning_rate * (target - v)).clamp(-cap, cap);
-        let lo = self.config.min_scale * v0;
-        let hi = self.config.max_scale * v0;
-        (v + step).clamp(lo.min(hi), lo.max(hi))
+        let cap = MAX_STEP_FRACTION * v0.abs();
+        let step = (LEARNING_RATE * (target - v)).clamp(-cap, cap);
+        self.clamp_to_corridor(v + step, v0)
     }
 
     /// Applies one evidence round. Returns `true` when a two-class nudge
@@ -273,24 +263,22 @@ impl IncrementalBoundary {
     }
 
     /// Restores state captured by a checkpoint: the adapted line and the
-    /// update counter. The anchor and knobs come from configuration, not
-    /// the checkpoint, so an operator can retune knobs across a restart.
+    /// update counter. The anchor and `max_scale` come from the caller,
+    /// not the checkpoint.
     ///
     /// Returns `Err` when the restored line is non-finite or falls outside
-    /// the configured corridor (a corrupt or incompatible checkpoint).
+    /// the corridor (a corrupt or incompatible checkpoint).
     pub fn restore(&mut self, line: DecisionLine, updates: u64) -> Result<(), &'static str> {
         if !line.k.is_finite() || !line.b.is_finite() {
             return Err("restored line must be finite");
         }
         for (v, v0) in [(line.k, self.initial.k), (line.b, self.initial.b)] {
-            let lo = self.config.min_scale * v0;
-            let hi = self.config.max_scale * v0;
-            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            let (lo, hi) = self.corridor(v0);
             // A small tolerance absorbs decimal round-trips in hand-built
             // snapshots; checkpoints store exact bits and never need it.
             let tol = 1e-12 * (1.0 + v0.abs());
             if v < lo - tol || v > hi + tol {
-                return Err("restored line outside the configured corridor");
+                return Err("restored line outside the corridor");
             }
         }
         self.line = line;
@@ -313,6 +301,9 @@ fn midpoint(sybil_hi: f64, honest_lo: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// The conservative adaptive profile's ceiling.
+    const MAX_SCALE: f64 = 8.0;
+
     fn line() -> DecisionLine {
         DecisionLine { k: 0.001, b: 0.05 }
     }
@@ -326,30 +317,35 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_config() {
-        let bad = NudgeConfig {
-            learning_rate: 0.0,
-            ..NudgeConfig::default()
-        };
-        assert!(IncrementalBoundary::new(line(), bad).is_err());
-        let bad = NudgeConfig {
-            max_scale: 0.5,
-            ..NudgeConfig::default()
-        };
-        assert!(IncrementalBoundary::new(line(), bad).is_err());
+    fn rejects_a_low_ceiling_or_a_non_finite_line() {
+        for bad in [0.5, f64::NAN, f64::INFINITY] {
+            assert!(IncrementalBoundary::new(line(), bad).is_err(), "{bad}");
+        }
         assert!(IncrementalBoundary::new(
             DecisionLine {
                 k: f64::NAN,
                 b: 0.0
             },
-            NudgeConfig::default()
+            MAX_SCALE
         )
         .is_err());
     }
 
     #[test]
+    fn corridor_spans_a_quarter_to_max_scale_of_the_trained_value() {
+        let ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
+        assert_eq!(ib.clamp_to_corridor(1.0, 0.05), MAX_SCALE * 0.05);
+        assert_eq!(ib.clamp_to_corridor(0.0, 0.05), 0.25 * 0.05);
+        assert_eq!(ib.clamp_to_corridor(0.1, 0.05), 0.1);
+        // A negative component's corridor is ordered the other way round.
+        assert_eq!(ib.clamp_to_corridor(0.0, -0.05), 0.25 * -0.05);
+        assert_eq!(ib.clamp_to_corridor(-1.0, -0.05), MAX_SCALE * -0.05);
+        assert_eq!(ib.clamp_to_corridor(3.0, 0.0), 0.0, "zero stays frozen");
+    }
+
+    #[test]
     fn nudges_toward_an_inflated_gap() {
-        let mut ib = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+        let mut ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
         // Sybil cluster drifted up to ~0.2, honest cluster at ~2.0: the
         // trained b = 0.05 is far below the gap, so b must rise.
         let pts: Vec<LabelledPoint> = (0..8)
@@ -367,19 +363,19 @@ mod tests {
 
     #[test]
     fn single_round_step_is_bounded() {
-        let mut ib = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+        let mut ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
         let pts = vec![point(20.0, 0.3, true), point(20.0, 5.0, false)];
         let before = ib.line();
         ib.observe_round(&pts);
         let after = ib.line();
-        // max_step_fraction = 1.0: one round moves b at most |b0|.
+        // The step cap: one round moves each component at most its trained magnitude.
         assert!((after.b - before.b).abs() <= 0.05 + 1e-12);
         assert!((after.k - before.k).abs() <= 0.001 + 1e-12);
     }
 
     #[test]
     fn decay_returns_to_the_trained_line() {
-        let mut ib = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+        let mut ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
         let pts: Vec<LabelledPoint> = (0..4)
             .map(|i| point(20.0, 0.3 + 0.01 * i as f64, true))
             .chain((0..4).map(|i| point(20.0, 3.0 + 0.1 * i as f64, false)))
@@ -397,7 +393,7 @@ mod tests {
 
     #[test]
     fn one_class_evidence_decays_instead_of_nudging() {
-        let mut ib = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+        let mut ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
         let pts = vec![point(20.0, 0.3, true), point(25.0, 0.31, true)];
         assert!(!ib.observe_round(&pts));
         assert_eq!(ib.line(), line());
@@ -406,7 +402,7 @@ mod tests {
     #[test]
     fn zero_component_stays_frozen() {
         let flat = DecisionLine { k: 0.0, b: 0.05 };
-        let mut ib = IncrementalBoundary::new(flat, NudgeConfig::default()).unwrap();
+        let mut ib = IncrementalBoundary::new(flat, MAX_SCALE).unwrap();
         let pts: Vec<LabelledPoint> = (0..8)
             .map(|i| point(5.0 + 5.0 * i as f64, 0.2, true))
             .chain((0..8).map(|i| point(5.0 + 5.0 * i as f64, 2.0 + 0.1 * i as f64, false)))
@@ -424,7 +420,7 @@ mod tests {
             .map(|i| point(10.0 + i as f64, 0.1 + 0.01 * i as f64, i % 2 == 0))
             .collect();
         let run = || {
-            let mut ib = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+            let mut ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
             for _ in 0..32 {
                 ib.observe_round(&pts);
             }
@@ -435,13 +431,13 @@ mod tests {
 
     #[test]
     fn restore_round_trips_and_rejects_out_of_corridor() {
-        let mut ib = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+        let mut ib = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
         let pts = vec![point(20.0, 0.2, true), point(20.0, 2.0, false)];
         for _ in 0..4 {
             ib.observe_round(&pts);
         }
         let (l, u) = (ib.line(), ib.updates());
-        let mut fresh = IncrementalBoundary::new(line(), NudgeConfig::default()).unwrap();
+        let mut fresh = IncrementalBoundary::new(line(), MAX_SCALE).unwrap();
         fresh.restore(l, u).unwrap();
         assert_eq!(fresh, ib);
         assert!(fresh.restore(DecisionLine { k: 0.001, b: 9.0 }, 0).is_err());

@@ -30,7 +30,7 @@ pub mod perceptron;
 
 pub use boundary::{DecisionLine, LinearRule};
 pub use dataset::Dataset;
-pub use incremental::{IncrementalBoundary, LabelledPoint, NudgeConfig};
+pub use incremental::{IncrementalBoundary, LabelledPoint};
 pub use lda::LinearDiscriminant;
 pub use logistic::LogisticRegression;
 pub use perceptron::Perceptron;

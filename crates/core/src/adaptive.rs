@@ -10,20 +10,26 @@
 //!
 //! [`AdaptiveThreshold`] tracks that scale online:
 //!
-//! * an **evidence reservoir** keeps the last `reservoir_capacity`
-//!   `(density, distance, label-proxy)` samples from compared pairs;
+//! * an **evidence reservoir** keeps the last 256 `(density, distance,
+//!   label-proxy)` samples from compared pairs, at most 64 per round
+//!   (a seeded stride subsample beyond that);
 //! * a **label proxy** splits each round's distances at the largest
-//!   log-scale gap in the lower half of the sorted distances (ratio ≥
-//!   `gap_ratio`): below is Sybil-like, above honest-like, no clean gap
-//!   means unlabelled;
+//!   log-scale gap in the lower half of the sorted distances (ratio ≥ the
+//!   profile's gap ratio): below is Sybil-like, above honest-like, no
+//!   clean gap means unlabelled;
 //! * the reservoir feeds a [`vp_classify::IncrementalBoundary`] nudge of
-//!   `(k, b)` each round (bounded-step, clamped — see that module's
-//!   contract);
+//!   `(k, b)` each round (bounded-step, clamped into
+//!   `[0.25·v₀, max_scale·v₀]` — see that module's contract);
 //! * a **drift statistic** — the shift of the recent window's median
-//!   distance from a frozen early-reference window, in units of the
-//!   reference IQR — widens the effective threshold band and marks the
-//!   verdict [`SybilVerdict::degraded_confidence`] while the distribution
-//!   is moving.
+//!   distance (last 24 samples) from a frozen early-reference window
+//!   (first 48), in units of the reference IQR — widens the effective
+//!   threshold band by `1 + 0.5·min(shift, 4)` and marks the verdict
+//!   [`SybilVerdict::degraded_confidence`] while the shift exceeds 1.
+//!
+//! Those sizes and rates are constants. [`AdaptiveConfig`] only picks one
+//! of two profiles, which differ in the gap ratio and the corridor's
+//! ceiling `max_scale`: [`AdaptiveConfig::default`] (3.0 and 8.0) and
+//! [`AdaptiveConfig::aggressive`] (1.15 and 1.75).
 //!
 //! Ordering contract: round *N*'s effective policy depends only on
 //! evidence from rounds `< N` (the update runs *after* the verdict), so a
@@ -34,63 +40,52 @@
 //! no hash-map iteration.
 
 use vp_classify::boundary::DecisionLine;
-use vp_classify::incremental::{IncrementalBoundary, LabelledPoint, NudgeConfig};
+use vp_classify::incremental::{IncrementalBoundary, LabelledPoint};
 
 use crate::comparator::PairwiseDistances;
 use crate::confirm::{confirm, SybilVerdict};
 use crate::threshold::ThresholdPolicy;
 
-/// Knobs for the drift-adaptive confirmation loop. See the module docs
-/// for how the pieces interact.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Capacity of the rolling evidence reservoir.
+const RESERVOIR_CAPACITY: usize = 256;
+
+/// Compared-pair samples folded in per round; a larger round is
+/// subsampled with a seeded stride.
+const MAX_SAMPLES_PER_ROUND: usize = 64;
+
+/// Size of the frozen early-reference distance window for the drift
+/// statistic.
+const REFERENCE_SIZE: usize = 48;
+
+/// Size of the rolling recent distance window for the drift statistic.
+const RECENT_SIZE: usize = 24;
+
+/// Drift statistic value (median shift in reference-IQR units) above
+/// which the band widens and verdicts are marked degraded.
+const DRIFT_THRESHOLD: f64 = 1.0;
+
+/// How far the band widens per unit of drift statistic.
+const BAND_WIDEN_FRACTION: f64 = 0.5;
+
+/// Seed of the subsampling stride offset.
+const SUBSAMPLE_SEED: u64 = 1;
+
+/// Which of the drift-adaptive loop's two profiles runs (see the module
+/// docs): [`AdaptiveConfig::default`] or [`AdaptiveConfig::aggressive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdaptiveConfig {
-    /// Fraction of the distance to the nudge target covered per round.
-    pub learning_rate: f64,
-    /// Per-round step cap as a fraction of each trained component.
-    pub max_step_fraction: f64,
-    /// Lower clamp on each component, as a multiple of its trained value.
-    pub min_scale: f64,
-    /// Upper clamp on each component, as a multiple of its trained value.
-    pub max_scale: f64,
-    /// Capacity of the rolling evidence reservoir.
-    pub reservoir_capacity: usize,
-    /// Max compared-pair samples folded in per round (seeded stride
-    /// subsampling beyond this).
-    pub max_samples_per_round: usize,
-    /// Size of the frozen early-reference distance window for the drift
-    /// statistic.
-    pub reference_size: usize,
-    /// Size of the rolling recent distance window for the drift statistic.
-    pub recent_size: usize,
-    /// Drift statistic value above which the band widens and verdicts are
-    /// marked degraded (median shift in reference-IQR units).
-    pub drift_threshold: f64,
-    /// How aggressively the band widens per unit of drift statistic.
-    pub band_widen_fraction: f64,
-    /// Minimum log-scale gap ratio for the label proxy to split a round's
-    /// distances into Sybil-like / honest-like clusters.
-    pub gap_ratio: f64,
-    /// Seed for the subsampling stride offset.
-    pub seed: u64,
+    profile: Profile,
 }
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            learning_rate: 0.5,
-            max_step_fraction: 1.0,
-            min_scale: 0.25,
-            max_scale: 8.0,
-            reservoir_capacity: 256,
-            max_samples_per_round: 64,
-            reference_size: 48,
-            recent_size: 24,
-            drift_threshold: 1.0,
-            band_widen_fraction: 0.5,
-            gap_ratio: 3.0,
-            seed: 1,
-        }
-    }
+/// The two tuned profiles of the label proxy and the corridor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Profile {
+    /// Labels only a clean 3× gap, and lets the line rise to 8× its
+    /// trained value.
+    #[default]
+    Conservative,
+    /// Labels a 1.15× gap, and caps the line at 1.75× its trained value.
+    Aggressive,
 }
 
 impl AdaptiveConfig {
@@ -104,42 +99,24 @@ impl AdaptiveConfig {
     /// the default profile never engages (`bench_drift`).
     pub fn aggressive() -> Self {
         AdaptiveConfig {
-            gap_ratio: 1.15,
-            max_scale: 1.75,
-            ..AdaptiveConfig::default()
+            profile: Profile::Aggressive,
         }
     }
 
-    /// Validates the knob ranges.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        self.nudge_config().validate()?;
-        if self.reservoir_capacity == 0 {
-            return Err("reservoir_capacity must be positive");
+    /// Minimum log-scale gap ratio for the label proxy to split a round's
+    /// distances into Sybil-like / honest-like clusters.
+    fn gap_ratio(self) -> f64 {
+        match self.profile {
+            Profile::Conservative => 3.0,
+            Profile::Aggressive => 1.15,
         }
-        if self.max_samples_per_round == 0 {
-            return Err("max_samples_per_round must be positive");
-        }
-        if self.reference_size < 4 || self.recent_size < 4 {
-            return Err("drift windows need at least 4 samples each");
-        }
-        if !(self.drift_threshold > 0.0 && self.drift_threshold.is_finite()) {
-            return Err("drift_threshold must be positive and finite");
-        }
-        if !(self.band_widen_fraction >= 0.0 && self.band_widen_fraction.is_finite()) {
-            return Err("band_widen_fraction must be non-negative and finite");
-        }
-        if !(self.gap_ratio > 1.0 && self.gap_ratio.is_finite()) {
-            return Err("gap_ratio must exceed 1");
-        }
-        Ok(())
     }
 
-    fn nudge_config(&self) -> NudgeConfig {
-        NudgeConfig {
-            learning_rate: self.learning_rate,
-            max_step_fraction: self.max_step_fraction,
-            min_scale: self.min_scale,
-            max_scale: self.max_scale,
+    /// Upper corridor bound, as a multiple of each trained component.
+    fn max_scale(self) -> f64 {
+        match self.profile {
+            Profile::Conservative => 8.0,
+            Profile::Aggressive => 1.75,
         }
     }
 }
@@ -256,7 +233,7 @@ pub struct AdaptiveSnapshot {
     pub rounds: u64,
     /// Reservoir samples, oldest first.
     pub samples: Vec<ReservoirSample>,
-    /// The frozen reference distance window (at most `reference_size`).
+    /// The frozen reference distance window (at most 48 distances).
     pub reference: Vec<f64>,
     /// The rolling recent distance window, oldest first.
     pub recent: Vec<f64>,
@@ -299,27 +276,23 @@ impl AdaptiveThreshold {
     /// [`ThresholdPolicy::Constant`] anchor is treated as the degenerate
     /// line `(k = 0, b = t)` — its slope stays frozen at zero (see the
     /// incremental-boundary contract) and only the constant adapts.
+    ///
+    /// Returns `Err` when the policy's line has a non-finite component.
     pub fn new(policy: &ThresholdPolicy, config: AdaptiveConfig) -> Result<Self, &'static str> {
-        config.validate()?;
         let initial = match *policy {
             ThresholdPolicy::Linear(line) => line,
             ThresholdPolicy::Constant(t) => DecisionLine { k: 0.0, b: t },
         };
-        let boundary = IncrementalBoundary::new(initial, config.nudge_config())?;
+        let boundary = IncrementalBoundary::new(initial, config.max_scale())?;
         Ok(AdaptiveThreshold {
             config,
             boundary,
-            reservoir: EvidenceReservoir::new(config.reservoir_capacity),
+            reservoir: EvidenceReservoir::new(RESERVOIR_CAPACITY),
             reference: Vec::new(),
             recent: Vec::new(),
             recent_next: 0,
             rounds: 0,
         })
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> AdaptiveConfig {
-        self.config
     }
 
     /// The adapted line, before drift widening.
@@ -337,9 +310,7 @@ impl AdaptiveThreshold {
     /// until both windows are full — drift is undefined before a baseline
     /// exists.
     pub fn drift_shift(&self) -> Option<f64> {
-        if self.reference.len() < self.config.reference_size
-            || self.recent.len() < self.config.recent_size
-        {
+        if self.reference.len() < REFERENCE_SIZE || self.recent.len() < RECENT_SIZE {
             return None;
         }
         let mut reference = self.reference.clone();
@@ -355,36 +326,27 @@ impl AdaptiveThreshold {
     }
 
     /// `true` while the recent distance distribution has shifted *up*
-    /// past the configured threshold. Downward shifts (distances
+    /// past the drift threshold. Downward shifts (distances
     /// shrinking) tighten nothing: the trained line already accepts them,
     /// and widening on shrink would inflate false positives.
     pub fn is_drifting(&self) -> bool {
-        self.drift_shift()
-            .is_some_and(|s| s > self.config.drift_threshold)
+        self.drift_shift().is_some_and(|s| s > DRIFT_THRESHOLD)
     }
 
     /// The policy round *N* must use: the adapted line, widened while the
     /// drift statistic is above threshold. Widening scales both
-    /// components by `1 + band_widen_fraction · min(shift, 4)` and then
-    /// re-clamps into the `max_scale` corridor, so even a runaway drift
-    /// statistic cannot push the band past the configured ceiling.
+    /// components by `1 + 0.5 · min(shift, 4)` and then re-clamps into
+    /// the boundary's corridor, so even a runaway drift statistic cannot
+    /// push the band past the profile's ceiling.
     pub fn effective_policy(&self) -> ThresholdPolicy {
         let line = self.boundary.line();
         let initial = self.boundary.initial();
         let widened = match self.drift_shift() {
-            Some(shift) if shift > self.config.drift_threshold => {
-                let scale = 1.0 + self.config.band_widen_fraction * shift.min(4.0);
-                let clamp = |v: f64, v0: f64| -> f64 {
-                    if v0 == 0.0 {
-                        return 0.0;
-                    }
-                    let lo = self.config.min_scale * v0;
-                    let hi = self.config.max_scale * v0;
-                    (v * scale).clamp(lo.min(hi), lo.max(hi))
-                };
+            Some(shift) if shift > DRIFT_THRESHOLD => {
+                let scale = 1.0 + BAND_WIDEN_FRACTION * shift.min(4.0);
                 DecisionLine {
-                    k: clamp(line.k, initial.k),
-                    b: clamp(line.b, initial.b),
+                    k: self.boundary.clamp_to_corridor(line.k * scale, initial.k),
+                    b: self.boundary.clamp_to_corridor(line.b * scale, initial.b),
                 }
             }
             _ => line,
@@ -411,7 +373,7 @@ impl AdaptiveThreshold {
     /// per verdict produced under [`AdaptiveThreshold::effective_policy`];
     /// the mutation happens strictly after the decision so round *N*'s
     /// verdict never depends on round *N*'s own evidence.
-    // vp-lint: allow(panic-reachability) — ring index `recent_next` stays < recent_size by the modulo update
+    // vp-lint: allow(panic-reachability) — ring index `recent_next` stays < RECENT_SIZE by the modulo update
     pub fn finish_round(&mut self, mut verdict: SybilVerdict, density_per_km: f64) -> SybilVerdict {
         if self.is_drifting() {
             verdict.mark_degraded();
@@ -430,26 +392,26 @@ impl AdaptiveThreshold {
         // per-round budget: offset from an FNV mix of (seed, round) so
         // different rounds sample different residues, identically across
         // runs and restores.
-        if distances.len() > self.config.max_samples_per_round {
-            let stride = distances.len().div_ceil(self.config.max_samples_per_round);
-            let offset = (mix(self.config.seed, self.rounds) as usize) % stride;
+        if distances.len() > MAX_SAMPLES_PER_ROUND {
+            let stride = distances.len().div_ceil(MAX_SAMPLES_PER_ROUND);
+            let offset = (mix(SUBSAMPLE_SEED, self.rounds) as usize) % stride;
             distances = distances.into_iter().skip(offset).step_by(stride).collect();
         }
 
-        let labels = label_by_gap(&distances, self.config.gap_ratio);
+        let labels = label_by_gap(&distances, self.config.gap_ratio());
         for (d, label) in distances.iter().zip(labels) {
             self.reservoir.push(ReservoirSample {
                 density_per_km,
                 distance: *d,
                 label,
             });
-            if self.reference.len() < self.config.reference_size {
+            if self.reference.len() < REFERENCE_SIZE {
                 self.reference.push(*d);
-            } else if self.recent.len() < self.config.recent_size {
+            } else if self.recent.len() < RECENT_SIZE {
                 self.recent.push(*d);
             } else {
                 self.recent[self.recent_next] = *d;
-                self.recent_next = (self.recent_next + 1) % self.config.recent_size;
+                self.recent_next = (self.recent_next + 1) % RECENT_SIZE;
             }
         }
 
@@ -480,7 +442,7 @@ impl AdaptiveThreshold {
     // vp-lint: allow(panic-reachability) — rotation slices split at `recent_next` <= len, maintained by finish_round
     pub fn snapshot(&self) -> AdaptiveSnapshot {
         let mut recent = Vec::with_capacity(self.recent.len());
-        if self.recent.len() == self.config.recent_size {
+        if self.recent.len() == RECENT_SIZE {
             recent.extend_from_slice(&self.recent[self.recent_next..]);
             recent.extend_from_slice(&self.recent[..self.recent_next]);
         } else {
@@ -496,10 +458,10 @@ impl AdaptiveThreshold {
         }
     }
 
-    /// Rebuilds the state from a snapshot against the *configured* policy
-    /// and knobs (the anchor line and clamps are configuration, not
-    /// state). Returns `Err` on snapshots that exceed the configured
-    /// capacities or restore a line outside the clamp corridor — the
+    /// Rebuilds the state from a snapshot against the configured policy
+    /// and profile (the anchor line and the corridor are configuration,
+    /// not state). Returns `Err` on snapshots that exceed the reservoir or
+    /// window sizes or restore a line outside the corridor — the
     /// checkpoint and the config disagree, and guessing which is right
     /// would silently change behaviour.
     pub fn restore(
@@ -508,16 +470,16 @@ impl AdaptiveThreshold {
         snap: &AdaptiveSnapshot,
     ) -> Result<Self, &'static str> {
         let mut out = AdaptiveThreshold::new(policy, config)?;
-        if snap.samples.len() > config.reservoir_capacity {
-            return Err("snapshot reservoir exceeds configured capacity");
+        if snap.samples.len() > RESERVOIR_CAPACITY {
+            return Err("snapshot reservoir exceeds its capacity");
         }
-        if snap.reference.len() > config.reference_size {
-            return Err("snapshot reference window exceeds configured size");
+        if snap.reference.len() > REFERENCE_SIZE {
+            return Err("snapshot reference window exceeds its size");
         }
-        if snap.recent.len() > config.recent_size {
-            return Err("snapshot recent window exceeds configured size");
+        if snap.recent.len() > RECENT_SIZE {
+            return Err("snapshot recent window exceeds its size");
         }
-        if snap.recent.len() == config.recent_size && snap.reference.len() < config.reference_size {
+        if snap.recent.len() == RECENT_SIZE && snap.reference.len() < REFERENCE_SIZE {
             return Err("snapshot recent window filled before reference");
         }
         out.boundary.restore(snap.line, snap.updates)?;
@@ -590,11 +552,7 @@ mod tests {
     use crate::comparator::{compare, ComparisonConfig};
 
     fn config() -> AdaptiveConfig {
-        AdaptiveConfig {
-            reference_size: 4,
-            recent_size: 4,
-            ..AdaptiveConfig::default()
-        }
+        AdaptiveConfig::default()
     }
 
     fn policy() -> ThresholdPolicy {
@@ -631,21 +589,6 @@ mod tests {
             ),
         ];
         compare(&series, &ComparisonConfig::default())
-    }
-
-    #[test]
-    fn validates_config() {
-        assert!(AdaptiveConfig::default().validate().is_ok());
-        let bad = AdaptiveConfig {
-            gap_ratio: 0.5,
-            ..AdaptiveConfig::default()
-        };
-        assert!(AdaptiveThreshold::new(&policy(), bad).is_err());
-        let bad = AdaptiveConfig {
-            reference_size: 2,
-            ..AdaptiveConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -695,11 +638,20 @@ mod tests {
         assert_eq!(at.effective_policy(), ThresholdPolicy::Linear(at.line()));
     }
 
+    /// `n` distances spread evenly over `[lo, 1.3·lo)`.
+    fn spread(n: usize, lo: f64) -> Vec<f64> {
+        (0..n)
+            .map(|i| lo * (1.0 + 0.3 * i as f64 / n as f64))
+            .collect()
+    }
+
     #[test]
     fn upward_shift_raises_drift_and_widens_band() {
         let mut at = AdaptiveThreshold::new(&policy(), config()).unwrap();
-        at.reference = vec![0.01, 0.011, 0.012, 0.013];
-        at.recent = vec![0.1, 0.11, 0.12, 0.13];
+        at.reference = spread(REFERENCE_SIZE, 0.01);
+        at.recent = spread(RECENT_SIZE - 1, 0.1);
+        assert_eq!(at.drift_shift(), None, "recent window one short");
+        at.recent.push(0.1);
         let shift = at.drift_shift().unwrap();
         assert!(shift > 1.0, "shift = {shift}");
         assert!(at.is_drifting());
@@ -713,8 +665,8 @@ mod tests {
     #[test]
     fn downward_shift_never_widens() {
         let mut at = AdaptiveThreshold::new(&policy(), config()).unwrap();
-        at.reference = vec![0.1, 0.11, 0.12, 0.13];
-        at.recent = vec![0.01, 0.011, 0.012, 0.013];
+        at.reference = spread(REFERENCE_SIZE, 0.1);
+        at.recent = spread(RECENT_SIZE, 0.01);
         assert!(at.drift_shift().unwrap() < 0.0);
         assert!(!at.is_drifting());
         assert_eq!(at.effective_policy(), ThresholdPolicy::Linear(at.line()));
@@ -750,10 +702,15 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_bit_exactly() {
         let mut at = AdaptiveThreshold::new(&policy(), config()).unwrap();
-        for i in 0..6 {
+        // Six pairs a round: 14 rounds fill both drift windows and wrap
+        // the recent ring part of the way round.
+        for i in 0..14 {
             let pd = clustered(0.001 * i as f64);
             at.confirm_round(&pd, 10.0 + i as f64);
         }
+        assert_eq!(at.reference.len(), 48);
+        assert_eq!(at.recent.len(), 24);
+        assert_eq!(at.recent_next, 12, "the recent ring has wrapped");
         let snap = at.snapshot();
         let restored = AdaptiveThreshold::restore(&policy(), config(), &snap).unwrap();
         // Future behaviour must be bit-identical: run two more rounds on
@@ -786,6 +743,37 @@ mod tests {
         let mut snap = at.snapshot();
         snap.reference = vec![f64::NAN];
         assert!(AdaptiveThreshold::restore(&policy(), config(), &snap).is_err());
+    }
+
+    #[test]
+    fn each_profile_saturates_at_its_own_ceiling() {
+        // Evidence whose gap sits far above the trained intercept pulls
+        // the line up by at most the trained magnitude a round, until the
+        // corridor stops it: at 8× the trained value under the default
+        // profile and 1.75× under the aggressive one.
+        let pd = clustered(0.05);
+        let sibling = confirm(&pd, 12.0, &ThresholdPolicy::Constant(f64::MAX))
+            .audit_for(100, 101)
+            .expect("sibling pair compared")
+            .dtw_normalized;
+        let b0 = sibling * 0.01;
+        let anchor = ThresholdPolicy::Constant(b0);
+        for (profile, ceiling) in [
+            (AdaptiveConfig::default(), 8.0),
+            (AdaptiveConfig::aggressive(), 1.75),
+        ] {
+            let mut at = AdaptiveThreshold::new(&anchor, profile).unwrap();
+            for _ in 0..12 {
+                at.confirm_round(&pd, 12.0);
+            }
+            assert_eq!(
+                at.line(),
+                DecisionLine {
+                    k: 0.0,
+                    b: ceiling * b0
+                }
+            );
+        }
     }
 
     #[test]
@@ -823,21 +811,34 @@ mod tests {
 
     #[test]
     fn subsampling_is_deterministic_and_bounded() {
-        let cfg = AdaptiveConfig {
-            max_samples_per_round: 2,
-            ..config()
-        };
+        // Twelve identities give 66 pairs, more than one round folds in.
+        let series: Vec<(u64, Vec<f64>)> = (0..12u64)
+            .map(|v| {
+                let f = 0.05 + 0.037 * v as f64;
+                let shape = (0..120)
+                    .map(|k| (k as f64 * f).sin() * 4.0 + (k as f64 * 0.11 * f).cos() - 70.0)
+                    .collect();
+                (v, shape)
+            })
+            .collect();
+        let pd = compare(&series, &ComparisonConfig::default());
+        let pairs = confirm(&pd, 12.0, &policy())
+            .audit_records()
+            .iter()
+            .filter(|r| r.quarantined_reason.is_none() && r.dtw_normalized.is_finite())
+            .count();
+        assert_eq!(pairs, 66);
         let run = || {
-            let mut at = AdaptiveThreshold::new(&policy(), cfg).unwrap();
-            for _ in 0..4 {
-                let pd = clustered(0.0);
+            let mut at = AdaptiveThreshold::new(&policy(), config()).unwrap();
+            for _ in 0..2 {
                 at.confirm_round(&pd, 12.0);
             }
             at.snapshot()
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b);
-        assert!(a.samples.len() <= 2 * 4);
+        // A stride of ⌈66 / 64⌉ = 2 keeps 33 of each round's 66 pairs.
+        assert_eq!(a.samples.len(), 2 * 33);
     }
 
     #[test]

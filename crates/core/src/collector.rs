@@ -21,62 +21,45 @@ use crate::IdentityId;
 /// payload of [`Collector::snapshot`] and input of [`Collector::restore`].
 pub type IdentitySamples = Vec<(IdentityId, Vec<(f64, f64)>)>;
 
-/// How [`Collector::series_at_churned`] rescues short-lived identities.
+/// Minimum silent gap (seconds) between consecutive samples for an
+/// identity to count as churned (retired and re-announced); comfortably
+/// above the worst expected beacon-loss run at 10 Hz.
+const CHURN_GAP_S: f64 = 1.0;
+
+/// Reduced sample floor for churned identities, as a fraction of the
+/// caller's `min_samples`.
+const CHURN_FLOOR_FRACTION: f64 = 0.35;
+
+/// Absolute lower bound on the reduced floor: a handful of samples can
+/// never support a meaningful DTW comparison, however small `min_samples`
+/// is.
+const CHURN_FLOOR_MIN: usize = 20;
+
+/// Churn-aware series extraction ([`Collector::series_at_churned`]),
+/// which rescues short-lived identities.
 ///
 /// An identity-churn attacker retires each fabricated identity before it
 /// accumulates `min_samples` beacons in any one observation window, so a
 /// plain [`Collector::series_at`] drops the evidence on the floor and the
 /// identity surfaces only as a `NotCompared` triage miss. The policy
-/// recognises the retire/announce signature — a transmission gap longer
-/// than any plausible beacon-loss run — and admits such identities at a
-/// reduced sample floor, merging their activity segments into one
-/// time-ordered series for the comparator (the sibling's shared-channel
-/// shape survives concatenation because DTW aligns on shape, not on
-/// absolute sample index).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnPolicy {
-    /// Minimum silent gap (seconds) between consecutive samples for the
-    /// identity to count as churned (retired and re-announced). Must
-    /// comfortably exceed the worst expected beacon-loss run at 10 Hz.
-    pub gap_tolerance_s: f64,
-    /// Reduced sample floor for churned identities, as a fraction of the
-    /// caller's `min_samples`.
-    pub min_fraction: f64,
-    /// Absolute lower bound on the reduced floor — a handful of samples
-    /// can never support a meaningful DTW comparison no matter how small
-    /// `min_samples` is.
-    pub min_samples_abs: usize,
-}
-
-impl Default for ChurnPolicy {
-    fn default() -> Self {
-        ChurnPolicy {
-            gap_tolerance_s: 1.0,
-            min_fraction: 0.35,
-            min_samples_abs: 20,
-        }
-    }
-}
+/// recognises the retire/announce signature — a silent gap of more than
+/// 1 s, longer than any plausible beacon-loss run — and admits such
+/// identities at a reduced sample floor ([`ChurnPolicy::reduced_floor`]),
+/// merging their activity segments into one time-ordered series for the
+/// comparator (the sibling's shared-channel shape survives concatenation
+/// because DTW aligns on shape, not on absolute sample index).
+///
+/// The policy has no settings; the type names it where a configuration
+/// switches it on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ChurnPolicy;
 
 impl ChurnPolicy {
-    /// Validates the knob ranges.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if !(self.gap_tolerance_s > 0.0 && self.gap_tolerance_s.is_finite()) {
-            return Err("gap_tolerance_s must be positive and finite");
-        }
-        if !(self.min_fraction > 0.0 && self.min_fraction <= 1.0) {
-            return Err("min_fraction must be in (0, 1]");
-        }
-        if self.min_samples_abs == 0 {
-            return Err("min_samples_abs must be positive");
-        }
-        Ok(())
-    }
-
-    /// The reduced floor for a churned identity given the full floor.
-    pub fn reduced_floor(&self, min_samples: usize) -> usize {
-        let scaled = (min_samples as f64 * self.min_fraction).ceil() as usize;
-        scaled.max(self.min_samples_abs)
+    /// The reduced floor for a churned identity given the full floor:
+    /// 35% of it, and never below 20 samples.
+    pub fn reduced_floor(min_samples: usize) -> usize {
+        let scaled = (min_samples as f64 * CHURN_FLOOR_FRACTION).ceil() as usize;
+        scaled.max(CHURN_FLOOR_MIN)
     }
 }
 
@@ -253,25 +236,19 @@ impl Collector {
     /// Churn-aware variant of [`Collector::series_at`]: identities that
     /// meet the full `min_samples` floor are returned unchanged, and
     /// identities below it are additionally admitted when they match the
-    /// retire/announce signature — at least two activity segments
-    /// separated by silent gaps longer than
-    /// [`ChurnPolicy::gap_tolerance_s`], with a merged sample count at or
-    /// above [`ChurnPolicy::reduced_floor`]. Merged series concatenate
-    /// the segments in time order.
+    /// retire/announce signature ([`ChurnPolicy`]) — at least two
+    /// activity segments separated by silent gaps longer than 1 s, with a
+    /// merged sample count at or above [`ChurnPolicy::reduced_floor`].
+    /// Merged series concatenate the segments in time order.
     ///
     /// A steady-but-sparse honest transmitter (one segment, no long gap)
     /// is *not* rescued — the reduced floor applies only to the churn
     /// signature, so this path cannot quietly lower the evidence bar for
     /// ordinary traffic.
-    pub fn series_at_churned(
-        &self,
-        now_s: f64,
-        min_samples: usize,
-        policy: &ChurnPolicy,
-    ) -> Vec<(IdentityId, Vec<f64>)> {
+    pub fn series_at_churned(&self, now_s: f64, min_samples: usize) -> Vec<(IdentityId, Vec<f64>)> {
         let cutoff = now_s - self.window_s;
         let full_floor = min_samples.max(1);
-        let reduced_floor = policy.reduced_floor(min_samples).min(full_floor);
+        let reduced_floor = ChurnPolicy::reduced_floor(min_samples).min(full_floor);
         let mut out: Vec<(IdentityId, Vec<f64>)> = self
             .samples
             .iter()
@@ -288,7 +265,7 @@ impl Collector {
                 if kept.len() < full_floor {
                     let segments = 1 + kept
                         .windows(2)
-                        .filter(|w| w[1].0 - w[0].0 > policy.gap_tolerance_s)
+                        .filter(|w| w[1].0 - w[0].0 > CHURN_GAP_S)
                         .count();
                     if segments < 2 {
                         return None;
@@ -433,7 +410,7 @@ mod tests {
         let floor = 150;
         let plain = c.series_at(20.0, floor);
         assert_eq!(plain.len(), 1, "plain extraction drops the churned id");
-        let churned = c.series_at_churned(20.0, floor, &ChurnPolicy::default());
+        let churned = c.series_at_churned(20.0, floor);
         assert_eq!(churned.len(), 2);
         assert_eq!(churned[1].0, 9);
         assert_eq!(churned[1].1.len(), 100, "segments merged in time order");
@@ -449,7 +426,7 @@ mod tests {
         for k in 0..100 {
             c.record(5, k as f64 * 0.1, -75.0);
         }
-        let churned = c.series_at_churned(20.0, 150, &ChurnPolicy::default());
+        let churned = c.series_at_churned(20.0, 150);
         assert!(
             churned.is_empty(),
             "a single-segment identity must not get the reduced floor"
@@ -465,35 +442,17 @@ mod tests {
             c.record(5, k as f64 * 0.1, -75.0);
             c.record(5, 10.0 + k as f64 * 0.1, -75.0);
         }
-        assert!(c
-            .series_at_churned(20.0, 150, &ChurnPolicy::default())
-            .is_empty());
+        assert!(c.series_at_churned(20.0, 150).is_empty());
     }
 
     #[test]
-    fn churn_policy_validation_and_floor() {
-        assert!(ChurnPolicy::default().validate().is_ok());
-        assert!(ChurnPolicy {
-            gap_tolerance_s: 0.0,
-            ..ChurnPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(ChurnPolicy {
-            min_fraction: 1.5,
-            ..ChurnPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(ChurnPolicy {
-            min_samples_abs: 0,
-            ..ChurnPolicy::default()
-        }
-        .validate()
-        .is_err());
-        let p = ChurnPolicy::default();
-        assert_eq!(p.reduced_floor(100), 35);
-        assert_eq!(p.reduced_floor(10), 20, "absolute floor dominates");
+    fn churn_reduced_floor() {
+        assert_eq!(ChurnPolicy::reduced_floor(100), 35);
+        assert_eq!(
+            ChurnPolicy::reduced_floor(10),
+            20,
+            "absolute floor dominates"
+        );
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //!    [`training`]), then group flagged pairs into Sybil clusters.
 //!
 //! [`detector::VoiceprintDetector`] packages the phases as a
-//! [`vp_sim::Detector`] so the simulator can score it; [`algorithm`] is a
-//! line-by-line transliteration of the paper's Algorithm 1; and
+//! [`vp_sim::Detector`] so the simulator can score it, and
 //! [`multi_period`] implements the paper's Section VI suggestion of
 //! confirming suspects over several detection periods to cut false
-//! positives.
+//! positives. A line-by-line transliteration of the paper's Algorithm 1
+//! lives in the repository's tests (`tests/algorithm_1.rs`), where it
+//! checks the production pipeline.
 //!
 //! # Quickstart
 //!
@@ -58,7 +59,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adaptive;
-pub mod algorithm;
 pub mod cache;
 pub mod collector;
 pub mod comparator;

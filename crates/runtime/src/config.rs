@@ -1,5 +1,7 @@
 //! Streaming-runtime configuration: window cadence, queue bounds,
-//! deadline budgets, degradation and supervision policies.
+//! deadline budgets and the degradation policy. The supervisor's
+//! schedule for panicking rounds is fixed (see
+//! [`crate::runtime::StreamingRuntime`]).
 
 use std::time::Duration;
 
@@ -48,25 +50,6 @@ impl Default for DegradeConfig {
     }
 }
 
-/// Supervisor policy for rounds that panic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Consecutive failed rounds after which the circuit breaker opens
-    /// (no further rounds run until [`crate::StreamingRuntime::reset_circuit`]).
-    pub circuit_breaker_after: u32,
-    /// Cap on the exponential backoff, in detection rounds.
-    pub max_backoff_rounds: u32,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            circuit_breaker_after: 3,
-            max_backoff_rounds: 4,
-        }
-    }
-}
-
 /// Full configuration of one [`crate::StreamingRuntime`].
 ///
 /// The cadence fields mirror [`ScenarioConfig`] (Table V defaults); use
@@ -98,8 +81,6 @@ pub struct RuntimeConfig {
     pub deadline: DeadlinePolicy,
     /// Degradation/recovery policy under repeated deadline misses.
     pub degrade: DegradeConfig,
-    /// Panic isolation, backoff and circuit-breaker policy.
-    pub supervisor: SupervisorConfig,
     /// Comparison-phase configuration (level-0 settings; degradation
     /// narrows the band on top of this).
     pub comparison: ComparisonConfig,
@@ -113,17 +94,17 @@ pub struct RuntimeConfig {
     pub comparison_cache_capacity: usize,
     /// Confirmation threshold policy.
     pub policy: ThresholdPolicy,
-    /// Drift-adaptive confirmation (ROADMAP item 5). `None` — the
-    /// default — freezes `policy` exactly as trained, preserving batch
-    /// parity. `Some` wraps it in a [`voiceprint::AdaptiveThreshold`]:
-    /// the boundary nudges toward the observed evidence each round, the
-    /// band widens while the distance distribution drifts, and the
-    /// adaptive state rides along in VPCK checkpoints bit-exactly.
+    /// Drift-adaptive confirmation. `None` — the default — freezes
+    /// `policy` exactly as trained, preserving batch parity. `Some` wraps
+    /// it in a [`voiceprint::AdaptiveThreshold`] running the chosen
+    /// profile: the boundary nudges toward the observed evidence each
+    /// round, the band widens while the distance distribution drifts, and
+    /// the adaptive state rides along in VPCK checkpoints bit-exactly.
     pub adaptive: Option<AdaptiveConfig>,
     /// Churn-aware series extraction. `None` — the default — uses the
     /// plain `min_samples_per_series` floor. `Some` additionally admits
-    /// identities matching the retire/announce churn signature at the
-    /// policy's reduced floor (see [`voiceprint::ChurnPolicy`]), so an
+    /// identities matching the retire/announce churn signature at a
+    /// reduced floor (see [`voiceprint::ChurnPolicy`]), so an
     /// identity-churn attacker's short-lived identities reach the
     /// comparator instead of surfacing as `NotCompared` misses.
     pub churn: Option<ChurnPolicy>,
@@ -145,7 +126,6 @@ impl RuntimeConfig {
             seed: 1,
             deadline: DeadlinePolicy::Unbounded,
             degrade: DegradeConfig::default(),
-            supervisor: SupervisorConfig::default(),
             comparison: ComparisonConfig::default(),
             // Room for a ~90-identity neighbourhood's full pair set —
             // far beyond paper-scale densities — at ~100 KiB.
@@ -198,11 +178,6 @@ impl RuntimeConfig {
         if self.queue_capacity == 0 {
             return Err(VpError::InvalidConfig("queue capacity must be nonzero"));
         }
-        if self.supervisor.circuit_breaker_after == 0 {
-            return Err(VpError::InvalidConfig(
-                "circuit breaker threshold must be nonzero",
-            ));
-        }
         if let DeadlinePolicy::WallClock(d) = self.deadline {
             if d.is_zero() {
                 return Err(VpError::InvalidConfig("wall-clock budget must be nonzero"));
@@ -216,12 +191,6 @@ impl RuntimeConfig {
                     "band fraction must be a non-negative number",
                 ));
             }
-        }
-        if let Some(a) = &self.adaptive {
-            a.validate().map_err(VpError::InvalidConfig)?;
-        }
-        if let Some(c) = &self.churn {
-            c.validate().map_err(VpError::InvalidConfig)?;
         }
         Ok(())
     }
@@ -270,23 +239,8 @@ mod tests {
         let mut c = good.clone();
         c.queue_capacity = 0;
         assert!(c.validate().is_err());
-        let mut c = good.clone();
-        c.supervisor.circuit_breaker_after = 0;
-        assert!(c.validate().is_err());
-        let mut c = good.clone();
-        c.deadline = DeadlinePolicy::WallClock(Duration::ZERO);
-        assert!(c.validate().is_err());
-        let mut c = good.clone();
-        c.adaptive = Some(AdaptiveConfig {
-            gap_ratio: 0.5,
-            ..AdaptiveConfig::default()
-        });
-        assert!(c.validate().is_err());
         let mut c = good;
-        c.churn = Some(ChurnPolicy {
-            min_fraction: 0.0,
-            ..ChurnPolicy::default()
-        });
+        c.deadline = DeadlinePolicy::WallClock(Duration::ZERO);
         assert!(c.validate().is_err());
     }
 
@@ -307,13 +261,5 @@ mod tests {
         for good in [0.0, 0.05, 1.0, f64::INFINITY] {
             assert!(banded(good).is_ok(), "band fraction {good} rejected");
         }
-    }
-
-    #[test]
-    fn adaptive_and_churn_defaults_validate() {
-        let mut c = RuntimeConfig::paper_default(ThresholdPolicy::paper_simulation());
-        c.adaptive = Some(AdaptiveConfig::default());
-        c.churn = Some(ChurnPolicy::default());
-        assert!(c.validate().is_ok());
     }
 }

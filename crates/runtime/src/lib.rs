@@ -22,9 +22,10 @@
 //!   window state to a versioned, checksummed snapshot
 //!   ([`checkpoint::VERSION`]); a restarted process resumes mid-window
 //!   with bit-identical future verdicts. Panics inside a round are
-//!   isolated by a supervisor (`catch_unwind`), retried with exponential
-//!   backoff plus deterministic jitter, and a circuit breaker trips after
-//!   N consecutive failures.
+//!   isolated by a supervisor (`catch_unwind`), retried after at most two
+//!   rounds of exponential backoff plus deterministic jitter, and a
+//!   circuit breaker trips after 3 consecutive failures (a fixed
+//!   schedule; see [`runtime`]).
 //!
 //! With no faults, no overload and no deadline pressure, the streaming
 //! verdicts are **bit-identical** to the batch pipeline's — pinned by the
@@ -45,7 +46,7 @@ pub mod queue;
 pub mod runtime;
 pub mod scenario;
 
-pub use config::{DeadlinePolicy, DegradeConfig, RuntimeConfig, SupervisorConfig};
+pub use config::{DeadlinePolicy, DegradeConfig, RuntimeConfig};
 pub use queue::{BeaconQueue, QueuedBeacon};
 pub use runtime::{RoundOutcome, StreamingRuntime, WindowReport};
 pub use scenario::{run_scenario_streaming, ObserverStream, StreamingOutcome};

@@ -13,13 +13,19 @@
 //! and no overload, the verdict stream is bit-identical to running
 //! [`voiceprint::VoiceprintDetector`] over the batch engine's collected
 //! inputs.
+//!
+//! The supervisor's schedule is fixed. A round that panics is isolated
+//! and counted; the first and second consecutive failures back off
+//! `2^(f−1) − 1` rounds plus one round of seeded jitter (0–1, then 1–2
+//! rounds), and the third opens the circuit breaker, which refuses every
+//! round until [`StreamingRuntime::reset_circuit`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use voiceprint::{
     compare_cancellable, compare_cancellable_with_cache, confirm, AdaptiveSnapshot,
-    AdaptiveThreshold, CacheStats, Collector, ComparisonCache, ComparisonConfig, DecisionLine,
-    DistanceMeasure, ReservoirSample, SampleLabel, SybilVerdict, ThresholdPolicy,
+    AdaptiveThreshold, CacheStats, ChurnPolicy, Collector, ComparisonCache, ComparisonConfig,
+    DecisionLine, DistanceMeasure, ReservoirSample, SampleLabel, SybilVerdict, ThresholdPolicy,
 };
 use vp_fault::{Beacon, DegradationCounters, VpError};
 use vp_par::CancelToken;
@@ -119,6 +125,9 @@ impl std::fmt::Debug for StreamingRuntime {
             .finish_non_exhaustive()
     }
 }
+
+/// Consecutive failed rounds after which the circuit breaker opens.
+const CIRCUIT_BREAKER_AFTER: u32 = 3;
 
 fn mix(seed: u64, round: u64) -> u64 {
     let mut h = 0xcbf29ce484222325u64 ^ seed;
@@ -223,14 +232,12 @@ impl StreamingRuntime {
                 remaining_rounds: self.backoff_rounds,
             };
         }
-        let series = match &self.config.churn {
-            Some(churn) => {
-                self.collector
-                    .series_at_churned(t_d, self.config.min_samples_per_series, churn)
-            }
-            None => self
-                .collector
-                .series_at(t_d, self.config.min_samples_per_series),
+        let series = if self.config.churn.is_some() {
+            self.collector
+                .series_at_churned(t_d, self.config.min_samples_per_series)
+        } else {
+            self.collector
+                .series_at(t_d, self.config.min_samples_per_series)
         };
         if series.is_empty() {
             return RoundOutcome::Skipped { time_s: t_d };
@@ -312,16 +319,16 @@ impl StreamingRuntime {
                 })
             }
             Err(_) => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.supervisor.circuit_breaker_after {
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+                if self.consecutive_failures >= CIRCUIT_BREAKER_AFTER {
                     self.circuit_open = true;
                     obs::circuit_open(self.consecutive_failures);
                 } else {
-                    let exp = 1u32 << (self.consecutive_failures - 1).min(31);
+                    // Failure `f` (1 or 2) backs off `2^(f−1) − 1` rounds
+                    // plus one round of seeded jitter: at most 2.
+                    let exp = 1u32 << (self.consecutive_failures - 1);
                     let jitter = (mix(self.config.seed, self.rounds_run) & 1) as u32;
-                    self.backoff_rounds = (exp.min(self.config.supervisor.max_backoff_rounds) - 1
-                        + jitter)
-                        .min(self.config.supervisor.max_backoff_rounds);
+                    self.backoff_rounds = exp - 1 + jitter;
                     obs::backoff(self.backoff_rounds, self.consecutive_failures);
                 }
                 RoundOutcome::Panicked {
@@ -338,13 +345,13 @@ impl StreamingRuntime {
     /// for per-pair cost so an overloaded round fits its budget.
     fn round_comparison(&self, density: f64, policy: &ThresholdPolicy) -> ComparisonConfig {
         let mut comparison = self.config.comparison;
-        if let Some(churn) = &self.config.churn {
+        if self.config.churn.is_some() {
             // The collector already enforces the full floor for
             // non-churned identities, so the comparator's own floor only
             // needs to stop re-dropping the rescued churned series.
-            comparison.min_series_len = comparison
-                .min_series_len
-                .min(churn.reduced_floor(self.config.min_samples_per_series));
+            comparison.min_series_len = comparison.min_series_len.min(ChurnPolicy::reduced_floor(
+                self.config.min_samples_per_series,
+            ));
         }
         if self.degrade_level == 0 {
             return comparison;
@@ -898,23 +905,40 @@ mod tests {
     fn supervisor_backs_off_then_opens_the_circuit() {
         let mut rt = StreamingRuntime::new(test_config()).unwrap();
         rt.set_round_hook(Box::new(|_| panic!("injected fault")));
-        let mut panicked = 0;
-        let mut backed_off = 0;
-        let mut circuit = 0;
+        let mut outcomes = Vec::new();
         for round in 0..8 {
             let t0 = round as f64 * 20.0;
             feed_window(&mut rt, t0, 2);
-            match &rt.advance_to(t0 + 20.0)[0] {
-                RoundOutcome::Panicked { .. } => panicked += 1,
-                RoundOutcome::BackedOff { .. } => backed_off += 1,
-                RoundOutcome::CircuitOpen { .. } => circuit += 1,
-                other => panic!("unexpected outcome {other:?}"),
-            }
+            outcomes.extend(rt.advance_to(t0 + 20.0));
         }
-        assert_eq!(panicked, 3, "breaker trips after 3 consecutive failures");
-        assert!(circuit >= 1, "breaker stays open");
+        // Failure 1 backs off 0 + 1 (jitter) rounds, failure 2 backs off
+        // 1 + 1, failure 3 opens the breaker, which stays open.
+        let panicked = |time_s, consecutive_failures| RoundOutcome::Panicked {
+            time_s,
+            consecutive_failures,
+        };
+        let backed_off = |time_s, remaining_rounds| RoundOutcome::BackedOff {
+            time_s,
+            remaining_rounds,
+        };
+        let open = |time_s| RoundOutcome::CircuitOpen {
+            time_s,
+            failures: 3,
+        };
+        assert_eq!(
+            outcomes,
+            [
+                panicked(20.0, 1),
+                backed_off(40.0, 0),
+                panicked(60.0, 2),
+                backed_off(80.0, 1),
+                backed_off(100.0, 0),
+                panicked(120.0, 3),
+                open(140.0),
+                open(160.0),
+            ]
+        );
         assert!(rt.is_circuit_open());
-        assert_eq!(panicked + backed_off + circuit, 8);
 
         // Reset closes the breaker; a healthy round then succeeds.
         rt.reset_circuit();
@@ -925,6 +949,28 @@ mod tests {
             matches!(outcomes.last(), Some(RoundOutcome::Verdict(_))),
             "{outcomes:?}"
         );
+    }
+
+    #[test]
+    fn a_restored_failure_count_at_u32_max_opens_the_circuit() {
+        // Checkpoint bytes are outside input, so the stored failure count
+        // may be any `u32`; one more failure must not overflow it.
+        let rt = StreamingRuntime::new(test_config()).unwrap();
+        let mut payload = checkpoint::open(&rt.checkpoint()).unwrap().to_vec();
+        // After next_detection_s (f64), rounds_run (u64), degrade_level
+        // (u8) and consecutive_misses (u32).
+        payload[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut rt = StreamingRuntime::restore(test_config(), &checkpoint::seal(&payload)).unwrap();
+        rt.set_round_hook(Box::new(|_| panic!("injected fault")));
+        feed_window(&mut rt, 0.0, 2);
+        assert_eq!(
+            rt.advance_to(20.0),
+            [RoundOutcome::Panicked {
+                time_s: 20.0,
+                consecutive_failures: u32::MAX,
+            }]
+        );
+        assert!(rt.is_circuit_open());
     }
 
     #[test]
@@ -1301,7 +1347,7 @@ mod tests {
         // with an unmistakable 10 s retire/announce gap.
         let mut frozen = StreamingRuntime::new(test_config()).unwrap();
         let mut churny_config = test_config();
-        churny_config.churn = Some(voiceprint::ChurnPolicy::default());
+        churny_config.churn = Some(voiceprint::ChurnPolicy);
         let mut churny = StreamingRuntime::new(churny_config).unwrap();
         for rt in [&mut frozen, &mut churny] {
             feed_window(rt, 0.0, 3);

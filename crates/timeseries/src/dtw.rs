@@ -100,8 +100,8 @@ pub fn dtw_banded(
 
 /// DTW distance evaluated only on the cells of `window`: FastDTW's
 /// full-resolution level. `window` holds one inclusive column range per
-/// element of `x`, as a [`crate::window::SearchWindow`] does, the last
-/// ending at the last column of `y`.
+/// element of `x` (see [`crate::window`]), the last ending at the last
+/// column of `y`.
 ///
 /// # Panics
 ///
@@ -149,8 +149,7 @@ pub(crate) fn exact_path(
 
 /// Windowed DTW with its warp path, last step first: FastDTW's coarse
 /// levels, whose paths the next level refines. `window` holds one
-/// inclusive column range per element of `x`, as a
-/// [`crate::window::SearchWindow`] does.
+/// inclusive column range per element of `x` (see [`crate::window`]).
 pub(crate) fn windowed_path(
     x: &[f64],
     y: &[f64],
@@ -255,8 +254,8 @@ impl BoundedDistance {
 ///
 /// `rows` yields each row's inclusive column range, in row order, one per
 /// row of `x`. The ranges must be monotone (both edges non-decreasing),
-/// start at column 0 and end at the last column, as every
-/// [`crate::window::SearchWindow`]'s and Sakoe–Chiba band's are. Two clones of `rows`
+/// start at column 0 and end at the last column, as every FastDTW
+/// window's and Sakoe–Chiba band's are. Two clones of `rows`
 /// follow the wavefront — one on its first row, one on the row after its
 /// last — and each takes a row's range only when the wavefront reaches
 /// that row, so an evaluation abandoned in row 0 walks only the first

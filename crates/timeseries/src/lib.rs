@@ -4,15 +4,16 @@
 //! "vehicular speech" signal and compares signals pairwise. This crate
 //! provides everything that comparison needs:
 //!
-//! * [`series`] — a lightweight owned series container.
+//! * [`series`] — coarsening, the shrink step of FastDTW's pyramid.
 //! * [`normalize`] — the paper's *enhanced Z-score* (`(x − μ) / 3σ`,
 //!   Eq. 7) and the min–max normalisation of pairwise distances (Eq. 8).
 //! * [`distance`] — Lp norms (Eq. 2), Euclidean, Manhattan, Chebyshev.
 //! * [`dtw`] — Dynamic Time Warping with squared point costs (Eq. 3–6):
 //!   one anti-diagonal (wavefront) dynamic program serves the exact,
 //!   Sakoe–Chiba banded and FastDTW distances and their warp paths.
-//! * [`window`] — sparse search windows for constrained DTW and the
-//!   integer Sakoe–Chiba band edges, walked row by row.
+//! * [`window`] — FastDTW's projection of a coarse search window to the
+//!   next resolution, and the integer Sakoe–Chiba band edges, walked row
+//!   by row.
 //! * [`fastdtw`] — the linear-time FastDTW approximation
 //!   (Salvador & Chan, reference [24] of the paper) used by the detector.
 //! * [`scratch`] — reusable working memory ([`DtwScratch`]) that every
@@ -55,6 +56,4 @@ pub use fastdtw::{fast_dtw, fast_dtw_with_path};
 pub use lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 pub use normalize::{min_max_normalize, z_score_enhanced};
 pub use scratch::DtwScratch;
-pub use series::Series;
 pub use sketch::{sketch_lower_bound, SeriesSketch, SKETCH_SEGMENTS};
-pub use window::SearchWindow;

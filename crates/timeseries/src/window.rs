@@ -1,158 +1,21 @@
-//! Sparse search windows for constrained DTW.
+//! Search windows for constrained DTW.
 //!
-//! A [`SearchWindow`] records, for each row `i` of the DTW cost matrix
-//! (an element of the first series), the inclusive column range of the
-//! second series that the dynamic program is allowed to visit: FastDTW's
-//! projected low-resolution path constrains the quadratic search space
-//! this way. The Sakoe–Chiba band is never materialised:
-//! [`sakoe_chiba_range`] computes any row's range on the fly, and
-//! [`SakoeChibaEdges`] walks every row's range in order with additions.
+//! A search window holds, for each row `i` of the DTW cost matrix (an
+//! element of the first series), the inclusive column range of the second
+//! series that the dynamic program may visit, as one `(lo, hi)` pair per
+//! row. FastDTW constrains each level's quadratic search space to the
+//! previous level's path, projected by `expand_half_resolution` into a
+//! window that its scratch keeps. The Sakoe–Chiba band is never
+//! materialised: [`sakoe_chiba_range`] computes any row's range on the
+//! fly, and [`SakoeChibaEdges`] walks every row's range in order with
+//! additions.
 
-/// An inclusive column interval `[lo, hi]` per row of the DTW matrix.
-///
-/// Invariants (enforced at construction):
-/// * one interval per row, `lo <= hi < cols`;
-/// * intervals are monotone: both endpoints are non-decreasing with the
-///   row index;
-/// * consecutive intervals overlap or touch diagonally
-///   (`lo[i+1] <= hi[i] + 1`), so a monotone warp path can always pass;
-/// * row 0 starts at column 0 and the last row ends at the last column,
-///   so `(0, 0)` and `(n-1, m-1)` are always reachable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchWindow {
-    cols: usize,
-    ranges: Vec<(usize, usize)>,
-}
-
-/// Error returned when a window description violates the invariants above.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidWindowError {
-    what: &'static str,
-}
-
-impl std::fmt::Display for InvalidWindowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid DTW search window: {}", self.what)
-    }
-}
-
-impl std::error::Error for InvalidWindowError {}
-
-impl SearchWindow {
-    /// The full (unconstrained) `rows × cols` window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn full(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "window dimensions must be positive");
-        SearchWindow {
-            cols,
-            ranges: vec![(0, cols - 1); rows],
-        }
-    }
-
-    /// Builds a window from per-row inclusive ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidWindowError`] when the invariants documented on
-    /// [`SearchWindow`] do not hold.
-    pub fn from_ranges(
-        cols: usize,
-        ranges: Vec<(usize, usize)>,
-    ) -> Result<Self, InvalidWindowError> {
-        if ranges.is_empty() || cols == 0 {
-            return Err(InvalidWindowError {
-                what: "window must be non-empty",
-            });
-        }
-        if ranges[0].0 != 0 {
-            return Err(InvalidWindowError {
-                what: "row 0 must start at column 0",
-            });
-        }
-        if ranges[ranges.len() - 1].1 != cols - 1 {
-            return Err(InvalidWindowError {
-                what: "last row must end at the last column",
-            });
-        }
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            if lo > hi || hi >= cols {
-                return Err(InvalidWindowError {
-                    what: "row range out of bounds",
-                });
-            }
-            if i > 0 {
-                let (plo, phi) = ranges[i - 1];
-                if lo < plo || hi < phi {
-                    return Err(InvalidWindowError {
-                        what: "row ranges must be monotone",
-                    });
-                }
-                if lo > phi + 1 {
-                    return Err(InvalidWindowError {
-                        what: "row ranges must stay diagonally connected",
-                    });
-                }
-            }
-        }
-        Ok(SearchWindow { cols, ranges })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Number of columns of the underlying matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Inclusive column range of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn range(&self, i: usize) -> (usize, usize) {
-        self.ranges[i]
-    }
-
-    /// `true` when cell `(i, j)` is inside the window.
-    // vp-lint: allow(panic-reachability) — short-circuit i < ranges.len() guards the index
-    pub fn contains(&self, i: usize, j: usize) -> bool {
-        i < self.ranges.len() && {
-            let (lo, hi) = self.ranges[i];
-            j >= lo && j <= hi
-        }
-    }
-
-    /// Total number of cells inside the window (the work a windowed DTW
-    /// performs).
-    pub fn cell_count(&self) -> usize {
-        self.ranges.iter().map(|&(lo, hi)| hi - lo + 1).sum()
-    }
-
-    /// Expands a window that was built at half resolution (via
-    /// [`crate::series::coarsen`]) back to full resolution `rows × cols`,
-    /// inflating every cell to its 2×2 block and then growing the result by
-    /// `radius` cells in every direction (FastDTW's expansion step).
-    pub fn expand_from_half_resolution(
-        &self,
-        rows: usize,
-        cols: usize,
-        radius: usize,
-    ) -> SearchWindow {
-        let mut ranges = Vec::new();
-        expand_half_resolution(&self.ranges, rows, cols, radius, &mut ranges);
-        SearchWindow { cols, ranges }
-    }
-}
-
-/// [`SearchWindow::expand_from_half_resolution`] of the monotone ranges
-/// `coarse`, written into `out` in one pass: FastDTW projects every level
-/// through it without allocating.
+/// Expands the monotone ranges `coarse` of a window built at half
+/// resolution (via [`crate::series::coarsen`]) back to full resolution
+/// `rows × cols`, inflating every cell to its 2×2 block and then growing
+/// the result by `radius` cells in every direction (FastDTW's expansion
+/// step). The ranges are written into `out` in one pass, so FastDTW
+/// projects every level through it without allocating.
 ///
 /// Fine row `f` inflates coarse row `f / 2` to its 2×2 blocks; rows past
 /// the coarse window's end inherit its last row. Growing by `radius` then
@@ -397,15 +260,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_window_covers_everything() {
-        let w = SearchWindow::full(3, 4);
-        assert_eq!(w.cell_count(), 12);
-        assert!(w.contains(0, 0));
-        assert!(w.contains(2, 3));
-        assert!(!w.contains(3, 0));
-    }
-
-    #[test]
     fn sakoe_chiba_square() {
         let band = |i| sakoe_chiba_range(5, 5, 1, i);
         assert_eq!(band(0), (0, 1));
@@ -457,47 +311,50 @@ mod tests {
         assert_eq!(SakoeChibaEdges::starting_at(4, 4, 1, 4).next(), None);
     }
 
-    #[test]
-    fn from_ranges_validates() {
-        assert!(SearchWindow::from_ranges(3, vec![(0, 1), (0, 2)]).is_ok());
-        // must start at col 0
-        assert!(SearchWindow::from_ranges(3, vec![(1, 2), (1, 2)]).is_err());
-        // must end at last col
-        assert!(SearchWindow::from_ranges(3, vec![(0, 1), (0, 1)]).is_err());
-        // monotone violation
-        assert!(SearchWindow::from_ranges(3, vec![(0, 2), (0, 1), (0, 2)]).is_err());
-        // disconnected rows
-        assert!(SearchWindow::from_ranges(5, vec![(0, 0), (2, 4)]).is_err());
-        let err = SearchWindow::from_ranges(3, vec![(1, 2), (1, 2)]).unwrap_err();
-        assert!(err.to_string().contains("column 0"));
+    /// FastDTW's projection of `coarse` to `rows × cols` at `radius`.
+    fn expand(
+        coarse: &[(usize, usize)],
+        rows: usize,
+        cols: usize,
+        radius: usize,
+    ) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        expand_half_resolution(coarse, rows, cols, radius, &mut out);
+        out
+    }
+
+    fn contains(window: &[(usize, usize)], i: usize, j: usize) -> bool {
+        window.get(i).is_some_and(|&(lo, hi)| lo <= j && j <= hi)
+    }
+
+    fn cell_count(window: &[(usize, usize)]) -> usize {
+        window.iter().map(|&(lo, hi)| hi - lo + 1).sum()
     }
 
     #[test]
     fn expansion_covers_projected_path() {
         // Coarse 2x2 diagonal window expands to cover the fine diagonal.
-        let coarse = SearchWindow::from_ranges(2, vec![(0, 0), (0, 1)]).unwrap();
-        let fine = coarse.expand_from_half_resolution(4, 4, 0);
+        let fine = expand(&[(0, 0), (0, 1)], 4, 4, 0);
         for i in 0..4 {
-            assert!(fine.contains(i, i), "diagonal cell ({i},{i}) missing");
+            assert!(contains(&fine, i, i), "diagonal cell ({i},{i}) missing");
         }
-        assert!(fine.contains(0, 0));
-        assert!(fine.contains(3, 3));
+        assert!(contains(&fine, 0, 0));
+        assert!(contains(&fine, 3, 3));
     }
 
     #[test]
     fn expansion_radius_grows_window() {
-        let coarse = SearchWindow::from_ranges(2, vec![(0, 0), (0, 1)]).unwrap();
-        let tight = coarse.expand_from_half_resolution(4, 4, 0);
-        let loose = coarse.expand_from_half_resolution(4, 4, 1);
-        assert!(loose.cell_count() >= tight.cell_count());
+        let coarse = [(0, 0), (0, 1)];
+        let tight = expand(&coarse, 4, 4, 0);
+        let loose = expand(&coarse, 4, 4, 1);
+        assert!(cell_count(&loose) >= cell_count(&tight));
     }
 
     #[test]
     fn expansion_handles_odd_lengths() {
-        let coarse = SearchWindow::full(3, 3);
-        let fine = coarse.expand_from_half_resolution(5, 5, 1);
-        assert_eq!(fine.rows(), 5);
-        assert!(fine.contains(0, 0));
-        assert!(fine.contains(4, 4));
+        let fine = expand(&[(0, 2); 3], 5, 5, 1);
+        assert_eq!(fine.len(), 5);
+        assert!(contains(&fine, 0, 0));
+        assert!(contains(&fine, 4, 4));
     }
 }

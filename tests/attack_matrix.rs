@@ -217,7 +217,7 @@ fn churn_policy_converts_not_compared_misses_into_comparisons() {
     }));
     let frozen_cfg = RuntimeConfig::from_scenario(&config, ThresholdPolicy::paper_simulation());
     let mut churny_cfg = frozen_cfg.clone();
-    churny_cfg.churn = Some(ChurnPolicy::default());
+    churny_cfg.churn = Some(ChurnPolicy);
 
     let frozen = run_scenario_streaming(&config, &frozen_cfg).expect("frozen run");
     let churny = run_scenario_streaming(&config, &churny_cfg).expect("churn-aware run");

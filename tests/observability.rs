@@ -289,12 +289,15 @@ fn city_events_carry_shard_labels_and_change_no_outcome() {
 /// round's pair count: missed deadlines degrade the next rounds, which
 /// narrow the band and arm the prune threshold, so the comparison cascade
 /// triages, LB-prunes and abandons pairs, and the adaptive threshold moves
-/// every round. Pinned: every round's completeness, degradation level and
-/// threshold bits, and every audit record's raw and normalised distance
-/// bits. Pruned pairs store lower bounds and the adaptive loop reads
-/// them, so the pin covers the bound bits as well as the verdicts.
+/// every round. Pinned for both adaptive profiles, which differ in the
+/// label proxy's gap ratio and the corridor's ceiling: every round's
+/// completeness, degradation level and threshold bits, and every audit
+/// record's raw and normalised distance bits. Pruned pairs store lower
+/// bounds and the adaptive loop reads them, so the pin covers the bound
+/// bits as well as the verdicts.
 #[test]
 fn adaptive_rounds_under_a_pair_budget_are_pinned() {
+    use voiceprint::AdaptiveConfig;
     use vp_runtime::{run_scenario_streaming, DeadlinePolicy, RuntimeConfig};
     use vp_sim::ScenarioConfig;
     let _serial = serial();
@@ -307,50 +310,61 @@ fn adaptive_rounds_under_a_pair_budget_are_pinned() {
         .malicious_fraction(0.1)
         .seed(42)
         .build();
-    let mut config = RuntimeConfig::from_scenario(&scenario, ThresholdPolicy::paper_simulation());
-    config.adaptive = Some(voiceprint::AdaptiveConfig::default());
-    config.deadline = DeadlinePolicy::PairBudget(150);
+    for (profile, name, pinned) in [
+        (AdaptiveConfig::default(), "default", 0x36d5_93f3_dea5_4ae7),
+        (
+            AdaptiveConfig::aggressive(),
+            "aggressive",
+            0xe1c3_d295_9719_16f0,
+        ),
+    ] {
+        let mut config =
+            RuntimeConfig::from_scenario(&scenario, ThresholdPolicy::paper_simulation());
+        config.adaptive = Some(profile);
+        config.deadline = DeadlinePolicy::PairBudget(150);
 
-    let sink = Arc::new(MemorySink::new());
-    let outcome = {
-        let _guard = ScopedSink::install(sink.clone());
-        run_scenario_streaming(&scenario, &config).expect("valid configs")
-    };
-    let sum = |field: &str| -> u64 {
-        sink.events()
-            .iter()
-            .filter(|e| e.name == "compare.sweep")
-            .map(|e| match e.field(field) {
-                Some(vp_obs::FieldValue::U64(v)) => *v,
-                _ => 0,
-            })
-            .sum()
-    };
-    let (triaged, lb, abandoned) = (
-        sum("triage_rejected"),
-        sum("pruned_lb"),
-        sum("pruned_abandon"),
-    );
-    assert!(
-        triaged > 0 && lb > 0 && abandoned > 0,
-        "the cascade must run every stage: triage {triaged}, LB {lb}, abandon {abandoned}"
-    );
+        let sink = Arc::new(MemorySink::new());
+        let outcome = {
+            let _guard = ScopedSink::install(sink.clone());
+            run_scenario_streaming(&scenario, &config).expect("valid configs")
+        };
+        let sum = |field: &str| -> u64 {
+            sink.events()
+                .iter()
+                .filter(|e| e.name == "compare.sweep")
+                .map(|e| match e.field(field) {
+                    Some(vp_obs::FieldValue::U64(v)) => *v,
+                    _ => 0,
+                })
+                .sum()
+        };
+        let (triaged, lb, abandoned) = (
+            sum("triage_rejected"),
+            sum("pruned_lb"),
+            sum("pruned_abandon"),
+        );
+        assert!(
+            triaged > 0 && lb > 0 && abandoned > 0,
+            "{name}: the cascade must run every stage: \
+             triage {triaged}, LB {lb}, abandon {abandoned}"
+        );
 
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut rounds = 0;
-    for report in outcome.streams.iter().flat_map(|s| s.reports()) {
-        rounds += 1;
-        mix(&mut h, u64::from(report.complete));
-        mix(&mut h, u64::from(report.degrade_level));
-        mix(&mut h, report.verdict.threshold().to_bits());
-        for audit in report.verdict.audit_records() {
-            mix(&mut h, audit.dtw_raw.to_bits());
-            mix(&mut h, audit.dtw_normalized.to_bits());
+        let mut h: u64 = 0xcbf29ce484222325;
+        let mut rounds = 0;
+        for report in outcome.streams.iter().flat_map(|s| s.reports()) {
+            rounds += 1;
+            mix(&mut h, u64::from(report.complete));
+            mix(&mut h, u64::from(report.degrade_level));
+            mix(&mut h, report.verdict.threshold().to_bits());
+            for audit in report.verdict.audit_records() {
+                mix(&mut h, audit.dtw_raw.to_bits());
+                mix(&mut h, audit.dtw_normalized.to_bits());
+            }
         }
+        assert_eq!(rounds, 5, "{name}");
+        assert_eq!(
+            h, pinned,
+            "{name} profile: adaptive budgeted rounds drifted: {h:#018x}"
+        );
     }
-    assert_eq!(rounds, 5);
-    assert_eq!(
-        h, 0x36d5_93f3_dea5_4ae7,
-        "adaptive budgeted rounds drifted: {h:#018x}"
-    );
 }
