@@ -7,7 +7,9 @@
 //! the parallel speedup, and a sliding-window section reporting the
 //! cross-window cache's steady-state hit rate, the sketch triage
 //! rejection rate and the speedup over the exact sweep. Thread count
-//! follows `VP_NUM_THREADS` (default: all cores).
+//! follows `VP_NUM_THREADS` (default: all cores), and every row records
+//! it; a run at `t` ≠ 1 threads writes `results/BENCH_compare_{t}t.json`
+//! instead, so the 1- and 2-thread runs sit side by side.
 //!
 //! `--smoke` runs the CI correctness gate instead: a small sliding
 //! sweep asserting cascade results equal the exact sweep, and each
@@ -16,9 +18,9 @@
 //! deterministic, so the gate never reads a clock, and a loosened bound
 //! moves them. No files are written.
 //!
-//! Also writes `results/BENCH_obs.json` with the observability layer's
-//! overhead: one compare + confirm round with no sink, an in-memory sink
-//! and a JSON-lines sink installed.
+//! The 1-thread run also writes `results/BENCH_obs.json` with the
+//! observability layer's overhead: one compare + confirm round with no
+//! sink, an in-memory sink and a JSON-lines sink installed.
 
 use std::time::Instant;
 
@@ -193,6 +195,7 @@ fn bench_sliding_row(
     dirty: usize,
     rounds: u64,
     exact_reps: usize,
+    threads: usize,
 ) -> String {
     let cfg = ComparisonConfig {
         prune_threshold: Some(0.05),
@@ -256,11 +259,12 @@ fn bench_sliding_row(
     );
     format!(
         concat!(
-            "    {{\"identities\": {}, \"pairs\": {}, \"dirty_identities\": {}, ",
+            "    {{\"threads\": {}, \"identities\": {}, \"pairs\": {}, \"dirty_identities\": {}, ",
             "\"exact_sequential_ms\": {:.4}, \"cold_window_ms\": {:.4}, ",
             "\"steady_window_ms\": {:.4}, \"cache_hit_rate\": {:.4}, ",
             "\"triage_rejection_rate\": {:.4}, \"speedup_vs_exact\": {:.2}}}"
         ),
+        threads,
         n,
         pairs,
         dirty,
@@ -417,10 +421,11 @@ fn main() {
         );
         rows.push(format!(
             concat!(
-                "    {{\"identities\": {}, \"pairs\": {}, \"sequential_ms\": {:.4}, ",
+                "    {{\"threads\": {}, \"identities\": {}, \"pairs\": {}, \"sequential_ms\": {:.4}, ",
                 "\"parallel_ms\": {:.4}, \"parallel_pruned_ms\": {:.4}, ",
                 "\"cascade_ms\": {:.4}, \"speedup\": {:.3}}}"
             ),
+            threads,
             n,
             n * (n - 1) / 2,
             seq * 1e3,
@@ -441,13 +446,13 @@ fn main() {
         "n", "exact ms", "cold ms", "steady ms", "hit rate", "triage rate", "speedup"
     );
     let sliding_rows = [
-        bench_sliding_row(96, samples, 4, 6, 3),
-        bench_sliding_row(256, samples, 4, 6, 2),
-        bench_sliding_row(1024, samples, 4, 4, 1),
+        bench_sliding_row(96, samples, 4, 6, 3, threads),
+        bench_sliding_row(256, samples, 4, 6, 2, threads),
+        bench_sliding_row(1024, samples, 4, 4, 1, threads),
     ];
 
     let note = if threads == 1 {
-        "\n  \"note\": \"single worker thread (1 CPU or *_NUM_THREADS=1): parallel speedup is bounded at 1x on this machine; the pruned/cascade columns show the per-pair cascade gain\","
+        "\n  \"note\": \"single worker thread (1 CPU or VP_NUM_THREADS=1): parallel speedup is bounded at 1x; a 2-thread run writes BENCH_compare_2t.json\","
     } else {
         ""
     };
@@ -465,9 +470,18 @@ fn main() {
         rows = rows.join(",\n"),
         sliding = sliding_rows.join(",\n")
     );
+    let path = if threads == 1 {
+        "results/BENCH_compare.json".to_string()
+    } else {
+        format!("results/BENCH_compare_{threads}t.json")
+    };
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_compare.json", &json).expect("write BENCH_compare.json");
-    println!("wrote results/BENCH_compare.json");
+    std::fs::write(&path, &json).expect("write the compare bench JSON");
+    println!("wrote {path}");
 
-    bench_obs();
+    // The sink overhead is measured on one thread whatever the budget, so
+    // only the 1-thread run writes it.
+    if threads == 1 {
+        bench_obs();
+    }
 }

@@ -17,10 +17,10 @@
 //!   same prepared-series content under the same configuration
 //!   fingerprint, so cached sweeps are **bit-identical** to cache-off
 //!   sweeps (pinned by `tests/comparison_cascade.rs`).
-//! * The map is a `BTreeMap` and eviction sorts on
-//!   `(last_used generation, key)` — no `RandomState`, no iteration
-//!   -order dependence, no wall clock. Two runs that feed the cache the
-//!   same sweeps leave it in identical state.
+//! * The map is a `BTreeMap` and eviction removes the smallest entries
+//!   in `(last_used generation, key)` order — no `RandomState`, no
+//!   iteration-order dependence, no wall clock. Two runs that feed the
+//!   cache the same sweeps leave it in identical state.
 //! * Non-finite distances are never inserted: a cancelled sweep uses a
 //!   NaN sentinel for unfinished pairs, and a legitimately non-finite
 //!   distance is indistinguishable from that sentinel, so both recompute
@@ -175,7 +175,9 @@ impl ComparisonCache {
     }
 
     /// Trims the map back to capacity: oldest generation first, then key
-    /// order — a total, deterministic order.
+    /// order — a total, deterministic order. Keys are unique, so the
+    /// `excess` smallest entries of that order are one set, which a
+    /// selection finds without sorting the rest.
     pub(crate) fn end_sweep(&mut self) {
         if self.map.len() <= self.capacity {
             return;
@@ -185,8 +187,8 @@ impl ComparisonCache {
             .iter()
             .map(|(key, entry)| (entry.last_used, *key))
             .collect();
-        order.sort_unstable();
         let excess = self.map.len() - self.capacity;
+        order.select_nth_unstable(excess - 1);
         for &(_, key) in order.iter().take(excess) {
             self.map.remove(&key);
             self.evictions += 1;

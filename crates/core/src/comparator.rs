@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vp_fault::DegradationCounters;
 use vp_par::{par_fill_with_cancel, par_fill_with_threads, CancelToken};
 use vp_timeseries::distance::squared_euclidean;
-use vp_timeseries::dtw::{dtw, dtw_banded, BoundedDistance};
+use vp_timeseries::dtw::{dtw, dtw_banded, dtw_banded_lanes, BandPlan, BoundedDistance};
 use vp_timeseries::fastdtw::fast_dtw;
 use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
@@ -560,17 +560,15 @@ fn compare_impl(
             ),
             DistanceMeasure::BandedDtw { band_fraction } => {
                 match config.effective_prune_threshold() {
-                    None => fill_pairs(
+                    None => fill_banded_lanes(
                         slots,
                         todo,
                         &prepared,
-                        config,
+                        band_fraction,
+                        config.per_step_cost,
                         threads,
                         token,
                         &stats,
-                        |_, _, a, b, max_len, s| {
-                            dtw_banded(a, b, band_width(max_len, band_fraction), None, s).value()
-                        },
                     ),
                     Some(t) => {
                         let per_step = config.per_step_cost;
@@ -799,6 +797,139 @@ fn band_width(max_len: usize, band_fraction: f64) -> usize {
     ((max_len as f64 * band_fraction).ceil() as usize).max(3)
 }
 
+/// One kernel call of the lane sweep ([`fill_banded_lanes`]), naming its
+/// pairs by their index in the sweep's pair list.
+#[derive(Debug, Clone, Copy)]
+enum LaneJob {
+    /// Two pairs of one band shape, run in the two lanes of
+    /// [`dtw_banded_lanes`].
+    Lanes([usize; 2]),
+    /// One pair on its own, through [`dtw_banded`]: the odd one out of its
+    /// shape, or a pair touching a series that is non-finite after Eq. 7.
+    Single(usize),
+}
+
+impl LaneJob {
+    fn pairs(&self) -> &[usize] {
+        match self {
+            LaneJob::Lanes(pairs) => pairs,
+            LaneJob::Single(k) => std::slice::from_ref(k),
+        }
+    }
+}
+
+/// The no-threshold banded sweep, two pairs per wavefront: fills `raw`
+/// like [`fill_pairs`] with the banded kernel, with the same bits.
+///
+/// Pairs are grouped by band shape `(N, M)` — the radius follows from the
+/// longer length — with a stable sort, so the grouping is deterministic
+/// and a group keeps pair order. Same-shape pairs run two at a time
+/// through [`dtw_banded_lanes`], so one SSE2 operation advances both and
+/// the per-anti-diagonal work is paid once per two pairs; an odd pair out
+/// runs alone through [`dtw_banded`]. A worker builds a shape's
+/// [`BandPlan`] when the first job of that shape reaches it and keeps it
+/// for the jobs that follow: the jobs are in shape order, so one worker
+/// builds each plan once, and a second rebuilds one only where a block of
+/// jobs starts mid-shape.
+///
+/// The lanes' min is a plain comparison, which keeps `f64::min`'s bits
+/// only over finite samples, so the prepared series are checked once per
+/// sweep (Eq. 7 can overflow finite input) and every pair touching a
+/// non-finite one runs alone.
+///
+/// An item budget ([`CancelToken::after_items`]) is claimed up front, one
+/// item per pair in index order, and only the claimed prefix is grouped
+/// and computed, so the budget still computes exactly pairs `0..n`. Any
+/// other token is consulted before each job. Either way the return value
+/// counts the pairs computed, and the rest keep the caller's prefill.
+#[allow(clippy::too_many_arguments)]
+// vp-lint: allow(panic-reachability) — pair indices were built over todo's range, and todo's over prepared's, in this fn and its caller
+fn fill_banded_lanes(
+    raw: &mut [f64],
+    todo: &[(u32, u32)],
+    prepared: &[Cow<'_, [f64]>],
+    band_fraction: f64,
+    per_step: bool,
+    threads: usize,
+    token: Option<&CancelToken>,
+    stats: &trace::SweepStats,
+) -> usize {
+    let (todo, token) = match token {
+        Some(t) if t.has_item_budget() => {
+            let claimed = todo.iter().take_while(|_| !t.should_stop()).count();
+            (&todo[..claimed], None)
+        }
+        other => (todo, other),
+    };
+    let series = |k: usize| {
+        let (i, j) = todo[k];
+        (prepared[i as usize].as_ref(), prepared[j as usize].as_ref())
+    };
+    let shape = |k: usize| {
+        let (a, b) = series(k);
+        (a.len(), b.len())
+    };
+    let finite: Vec<bool> = prepared
+        .iter()
+        .map(|s| s.iter().all(|v| v.is_finite()))
+        .collect();
+    let (mut order, fallback): (Vec<usize>, Vec<usize>) = (0..todo.len()).partition(|&k| {
+        let (i, j) = todo[k];
+        finite[i as usize] && finite[j as usize]
+    });
+    order.sort_by_key(|&k| shape(k));
+    let mut jobs = Vec::with_capacity(order.len() / 2 + fallback.len() + 1);
+    for group in order.chunk_by(|&p, &q| shape(p) == shape(q)) {
+        let two = group.chunks_exact(2);
+        jobs.extend(two.remainder().iter().map(|&k| LaneJob::Single(k)));
+        jobs.extend(two.map(|p| LaneJob::Lanes([p[0], p[1]])));
+    }
+    jobs.extend(fallback.into_iter().map(LaneJob::Single));
+
+    let mut done: Vec<Option<[f64; 2]>> = vec![None; jobs.len()];
+    let init = || (DtwScratch::new(), None::<BandPlan>);
+    let item =
+        |q: usize, slot: &mut Option<[f64; 2]>, worker: &mut (DtwScratch, Option<BandPlan>)| {
+            let (scratch, plan) = worker;
+            let started = stats.pair_start();
+            let job = jobs[q];
+            *slot = Some(match job {
+                LaneJob::Lanes([k0, k1]) => {
+                    let (n, m) = shape(k0);
+                    let plan = match plan {
+                        Some(p) if (p.rows(), p.cols()) == (n, m) => p,
+                        _ => plan.insert(BandPlan::new(n, m, band_width(n.max(m), band_fraction))),
+                    };
+                    let ((x0, y0), (x1, y1)) = (series(k0), series(k1));
+                    dtw_banded_lanes(plan, [x0, x1], [y0, y1], scratch)
+                }
+                LaneJob::Single(k) => {
+                    let (a, b) = series(k);
+                    let band = band_width(a.len().max(b.len()), band_fraction);
+                    [dtw_banded(a, b, band, None, scratch).value(); 2]
+                }
+            });
+            stats.pair_end(started, job.pairs().len());
+        };
+    match token {
+        None => par_fill_with_threads(&mut done, threads, init, item),
+        Some(token) => {
+            par_fill_with_cancel(&mut done, threads, token, init, item);
+        }
+    }
+    let mut computed = 0;
+    for (job, value) in jobs.iter().zip(&done) {
+        let Some(value) = value else { continue };
+        for (&k, &d) in job.pairs().iter().zip(value) {
+            let (a, b) = series(k);
+            let max_len = a.len().max(b.len());
+            raw[k] = if per_step { d / max_len as f64 } else { d };
+            computed += 1;
+        }
+    }
+    computed
+}
+
 /// Fills the upper-triangle `raw` slots by evaluating `kernel` on every
 /// pair, in parallel over `threads` workers with one [`DtwScratch`] per
 /// worker. Slot `k` depends only on pair `k`, so results are bit-identical
@@ -832,7 +963,7 @@ where
             d /= max_len as f64;
         }
         *slot = d;
-        stats.pair_end(started);
+        stats.pair_end(started, 1);
     };
     match token {
         None => {
@@ -1114,28 +1245,40 @@ mod tests {
     #[test]
     fn cancelled_sweep_flags_partial_output() {
         let series = population(16); // 120 pairs
-        let token = CancelToken::after_items(30);
-        let (pd, complete) =
-            compare_cancellable_with_threads(&series, &ComparisonConfig::default(), 1, &token);
-        assert!(!complete);
-        assert!(token.is_cancelled());
-        // 120 - 30 abandoned pairs, all accounted as skipped.
-        assert_eq!(pd.degradation().pairs_skipped, 90);
-        // Single-threaded: the computed prefix is exact and matches the
-        // full sweep bit-for-bit; the rest is the NaN sentinel.
         let full = compare(&series, &ComparisonConfig::default());
-        let mut k = 0;
-        for i in 0..pd.len() {
-            for j in (i + 1)..pd.len() {
-                if k < 30 {
-                    assert_eq!(
-                        pd.raw_between(i, j).to_bits(),
-                        full.raw_between(i, j).to_bits()
-                    );
-                } else {
-                    assert!(pd.raw_between(i, j).is_nan());
+        // An item budget computes exactly pairs 0..30 at any thread count:
+        // the lane sweep claims it up front and groups only that prefix.
+        for threads in [1, 2] {
+            let token = CancelToken::after_items(30);
+            let (pd, complete) = compare_cancellable_with_threads(
+                &series,
+                &ComparisonConfig::default(),
+                threads,
+                &token,
+            );
+            assert!(!complete);
+            assert!(token.is_cancelled());
+            // 120 - 30 abandoned pairs, all accounted as skipped.
+            assert_eq!(pd.degradation().pairs_skipped, 90, "{threads} thread(s)");
+            // The computed prefix is exact and matches the full sweep
+            // bit-for-bit; the rest is the NaN sentinel.
+            let mut k = 0;
+            for i in 0..pd.len() {
+                for j in (i + 1)..pd.len() {
+                    if k < 30 {
+                        assert_eq!(
+                            pd.raw_between(i, j).to_bits(),
+                            full.raw_between(i, j).to_bits(),
+                            "pair {k} at {threads} thread(s)"
+                        );
+                    } else {
+                        assert!(
+                            pd.raw_between(i, j).is_nan(),
+                            "pair {k} at {threads} thread(s)"
+                        );
+                    }
+                    k += 1;
                 }
-                k += 1;
             }
         }
     }

@@ -52,11 +52,17 @@ impl SweepStats {
         }
     }
 
+    /// Records one kernel call that computed `pairs` pairs together
+    /// since `started`: one sample per pair, each an equal share of the
+    /// call's time.
     #[inline]
-    pub(crate) fn pair_end(&self, started: Option<Instant>) {
+    pub(crate) fn pair_end(&self, started: Option<Instant>, pairs: usize) {
         if let Some(t0) = started {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.pair_ns.record(ns);
+            let share = ns / pairs.max(1) as u64;
+            for _ in 0..pairs {
+                self.pair_ns.record(share);
+            }
         }
     }
 

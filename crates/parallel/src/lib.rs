@@ -27,7 +27,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -137,9 +137,12 @@ impl CancelToken {
         self.inner.cancelled.load(Ordering::Acquire)
     }
 
-    /// `true` when the token carries an item budget. A finite budget only
-    /// counts down, so it never reaches the unlimited sentinel.
-    fn has_item_budget(&self) -> bool {
+    /// `true` when the token carries an item budget
+    /// ([`CancelToken::after_items`]). A sweep that does not compute its
+    /// items in index order claims such a budget up front, so that it
+    /// still computes exactly items `0..n`. A finite budget only counts
+    /// down, so it never reaches the unlimited sentinel.
+    pub fn has_item_budget(&self) -> bool {
         self.inner.items_left.load(Ordering::Relaxed) != u64::MAX
     }
 
@@ -305,46 +308,33 @@ where
     completed.into_inner()
 }
 
-/// Scoped-thread fork-join: split `slots` into blocks, deal the blocks
-/// round-robin across `threads` workers (static, deterministic
-/// assignment), run one worker per scoped thread.
-// vp-lint: allow(panic-reachability) — split_at_mut take is clamped to rest.len(); the round-robin index is b % threads
+/// Scoped-thread fork-join: split `slots` into blocks of consecutive
+/// slots, about 32 blocks per worker (single slots when there are fewer
+/// slots than that), and run one worker per scoped thread. Workers claim the blocks in index
+/// order from one shared queue, so a worker slowed by a busy CPU or by
+/// costlier items takes fewer blocks instead of holding up the region.
+/// Which worker fills a slot varies from run to run; what it writes
+/// there does not.
 fn fork_join<T, S, FI, F>(slots: &mut [T], threads: usize, init: &FI, f: &F)
 where
     T: Send,
     FI: Fn() -> S + Sync,
     F: Fn(usize, &mut T, &mut S) + Sync,
 {
-    let n = slots.len();
-    // Several blocks per worker smooth over per-item cost variance
-    // (e.g. pruned vs unpruned pairs) without an atomic work queue.
-    let block = (n / (threads * 8)).max(1);
-    let blocks: Vec<(usize, &mut [T])> = {
-        let mut out = Vec::with_capacity(n / block + 1);
-        let mut rest = slots;
-        let mut offset = 0;
-        while !rest.is_empty() {
-            let take = block.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            out.push((offset, head));
-            offset += take;
-            rest = tail;
-        }
-        out
-    };
-    // Deal blocks round-robin: worker w gets blocks w, w+T, w+2T, …
-    let mut assignments: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (b, item) in blocks.into_iter().enumerate() {
-        assignments[b % threads].push(item);
-    }
+    let block = (slots.len() / threads.saturating_mul(32)).max(1);
+    let queue = Mutex::new(slots.chunks_mut(block).enumerate());
     std::thread::scope(|scope| {
-        for work in assignments {
-            scope.spawn(move || {
+        for _ in 0..threads {
+            scope.spawn(|| {
                 IN_PARALLEL.with(|flag| flag.set(true));
                 let mut scratch = init();
-                for (offset, chunk) in work {
+                loop {
+                    // The guard drops at the end of this statement, so no
+                    // item runs under the lock.
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((b, chunk)) = next else { break };
                     for (k, slot) in chunk.iter_mut().enumerate() {
-                        f(offset + k, slot, &mut scratch);
+                        f(b * block + k, slot, &mut scratch);
                     }
                 }
             });

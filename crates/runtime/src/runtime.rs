@@ -129,6 +129,11 @@ impl std::fmt::Debug for StreamingRuntime {
 /// Consecutive failed rounds after which the circuit breaker opens.
 const CIRCUIT_BREAKER_AFTER: u32 = 3;
 
+/// The most rounds the supervisor backs off: failure `f` (1 or 2; the
+/// third opens the breaker) backs off `2^(f−1) − 1` rounds plus one round
+/// of jitter.
+const MAX_BACKOFF_ROUNDS: u32 = 2;
+
 fn mix(seed: u64, round: u64) -> u64 {
     let mut h = 0xcbf29ce484222325u64 ^ seed;
     for byte in round.to_le_bytes() {
@@ -579,7 +584,15 @@ impl StreamingRuntime {
         let degrade_level = r.get_u8()?.min(config.degrade.max_level);
         let consecutive_misses = r.get_u32()?;
         let consecutive_failures = r.get_u32()?;
+        // The supervisor never backs off more than `MAX_BACKOFF_ROUNDS`; a
+        // larger count would silently switch detection off for that many
+        // rounds, so it can only come from a corrupt frame.
         let backoff_rounds = r.get_u32()?;
+        if backoff_rounds > MAX_BACKOFF_ROUNDS {
+            return Err(VpError::CheckpointCorrupt {
+                reason: "backoff beyond the supervisor's maximum",
+            });
+        }
         let circuit_open = match r.get_u8()? {
             0 => false,
             1 => true,
@@ -1117,12 +1130,14 @@ mod tests {
     }
 
     // Fixed payload offsets of the checkpoint layout (see `checkpoint()`):
-    // supervisor header 54 B (f64 + u64 + u8 + 3×u32 + u8 + 3×u64), then
+    // supervisor header 54 B (f64 + u64 + u8 + 3×u32 + u8 + 3×u64, the
+    // last u32 `backoff_rounds` at 25), then
     // collector window f64 + rejected u64, putting `id_count` at 70. On
     // an *empty* runtime the density section follows immediately:
     // 3×f64 at 74, `heard_count` at 98, the `latest` flag byte at 102,
     // shed u64 at 103, `item_count` at 111, and the v2 adaptive flag
     // byte at 115 (an empty queue holds no items).
+    const BACKOFF_ROUNDS: usize = 25;
     const CIRCUIT_FLAG: usize = 29;
     const ID_COUNT: usize = 70;
     const HEARD_COUNT: usize = 98;
@@ -1209,6 +1224,35 @@ mod tests {
                     "flag at {flag_offset} = {value:#x} must be rejected"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn impossible_backoff_counts_are_rejected() {
+        // The supervisor never stores more than `MAX_BACKOFF_ROUNDS`, so a
+        // larger count comes from a corrupt or crafted frame and would
+        // switch detection off for that many rounds.
+        let empty = StreamingRuntime::new(test_config()).unwrap().checkpoint();
+        let with_backoff = |rounds: u32| {
+            reseal_with(&empty, |p| {
+                p[BACKOFF_ROUNDS..BACKOFF_ROUNDS + 4].copy_from_slice(&rounds.to_le_bytes());
+            })
+        };
+        for rounds in [3, 1_000_000] {
+            assert!(
+                matches!(
+                    StreamingRuntime::restore(test_config(), &with_backoff(rounds)),
+                    Err(VpError::CheckpointCorrupt {
+                        reason: "backoff beyond the supervisor's maximum"
+                    })
+                ),
+                "backoff {rounds} must be rejected"
+            );
+        }
+        for rounds in 0..=MAX_BACKOFF_ROUNDS {
+            let restored = StreamingRuntime::restore(test_config(), &with_backoff(rounds))
+                .unwrap_or_else(|e| panic!("backoff {rounds} must restore: {e:?}"));
+            assert_eq!(restored.backoff_rounds, rounds);
         }
     }
 

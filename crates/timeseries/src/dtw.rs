@@ -24,6 +24,34 @@
 //! recurrence. The path-returning forms additionally copy every
 //! anti-diagonal into one flat table in the scratch, and backtrack
 //! through it.
+//!
+//! # Two pairs per wavefront
+//!
+//! At the comparator's radius (5% of 200 samples) an anti-diagonal holds
+//! about ten cells, so what each anti-diagonal costs besides its cells —
+//! its row interval, its slices and two sentinels — is a large part of a
+//! pair. [`dtw_banded_lanes`] shares that work between two pairs: the DP
+//! is generic over its cell type, and with `[f64; 2]` cells and the two
+//! pairs' samples interleaved, one SSE2 operation advances both pairs and
+//! each anti-diagonal's bookkeeping is paid once for two. The two pairs
+//! must have one band shape `(N, M, radius)`, and they read that shape's
+//! anti-diagonals from a [`BandPlan`], walked once per shape instead of
+//! once per pair. A comparison sweep groups its pairs by shape; a round of
+//! 80 neighbours has about 150 shapes.
+//!
+//! Each lane runs the textbook recurrence on its own pair with the same
+//! operands, so every distance keeps its bits. The one difference is the
+//! min: a lane takes `if a < b { a } else { b }`, which vectorises, where
+//! the one-lane DP takes `f64::min`, which ignores a NaN operand. The two
+//! agree on every operand pair but NaN and `±0.0` — and over finite
+//! samples no cell is NaN or `−0.0`: point costs are squares (`+0.0` or
+//! more, `+∞` where they overflow) and cells are their sums. So the lanes
+//! are bit-identical to [`dtw_banded`] on finite samples only; a caller
+//! checks its series once and sends a pair that touches a non-finite one
+//! through [`dtw_banded`].
+
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 use crate::scratch::DtwScratch;
 use crate::window::SakoeChibaEdges;
@@ -56,7 +84,7 @@ pub fn point_cost(a: f64, b: f64) -> f64 {
 pub fn dtw(x: &[f64], y: &[f64], scratch: &mut DtwScratch) -> f64 {
     let m = y.len();
     let full = (0..x.len()).map(|_| (0, m - 1));
-    wavefront_dp::<false, false>(x, y, full, f64::INFINITY, scratch).value()
+    windowed_distance(x, y, full, scratch)
 }
 
 /// DTW distance restricted to a Sakoe–Chiba band of half-width `radius`,
@@ -93,8 +121,20 @@ pub fn dtw_banded(
     );
     let band = SakoeChibaEdges::new(x.len(), y.len(), radius);
     match abandon_above {
-        Some(t) => wavefront_dp::<true, false>(x, y, band, t, scratch),
-        None => wavefront_dp::<false, false>(x, y, band, f64::INFINITY, scratch),
+        Some(t) => {
+            let DtwScratch {
+                reversed,
+                diagonals,
+                row_min,
+                ..
+            } = scratch;
+            let mut abandon = Abandon::new(t, row_min);
+            match one_lane(x, y, band, reversed, diagonals, &mut abandon) {
+                ControlFlow::Continue(d) => BoundedDistance::Exact(d),
+                ControlFlow::Break(bound) => BoundedDistance::AboveThreshold(bound),
+            }
+        }
+        None => BoundedDistance::Exact(windowed_distance(x, y, band, scratch)),
     }
 }
 
@@ -114,8 +154,40 @@ pub(crate) fn dtw_windowed(
     scratch: &mut DtwScratch,
 ) -> f64 {
     assert_eq!(window.len(), x.len(), "window row count must match x");
-    let rows = window.iter().copied();
-    wavefront_dp::<false, false>(x, y, rows, f64::INFINITY, scratch).value()
+    windowed_distance(x, y, window.iter().copied(), scratch)
+}
+
+/// The one-lane DP's distance over the window whose rows are `rows`.
+fn windowed_distance(
+    x: &[f64],
+    y: &[f64],
+    rows: impl Iterator<Item = (usize, usize)> + Clone,
+    scratch: &mut DtwScratch,
+) -> f64 {
+    let DtwScratch {
+        reversed,
+        diagonals,
+        ..
+    } = scratch;
+    let ControlFlow::Continue(d) = one_lane(x, y, rows, reversed, diagonals, &mut Distance);
+    d
+}
+
+/// Runs the DP on one lane over the window whose rows are `rows` (see
+/// [`Wavefront`]), with `y` reversed into `reversed` (see
+/// [`wavefront_dp`]) and the anti-diagonals in `diagonals`.
+fn one_lane<V: Visit<f64>>(
+    x: &[f64],
+    y: &[f64],
+    rows: impl Iterator<Item = (usize, usize)> + Clone,
+    reversed: &mut Vec<f64>,
+    diagonals: &mut Vec<f64>,
+    visit: &mut V,
+) -> ControlFlow<V::Stop, f64> {
+    let wavefront = Wavefront::new(rows, x.len(), y.len());
+    reversed.clear();
+    reversed.extend(y.iter().rev());
+    wavefront_dp(x, reversed, wavefront, diagonals, visit)
 }
 
 /// Exact DTW distance plus one optimal warp path.
@@ -177,8 +249,16 @@ fn path_dp(
     scratch: &mut DtwScratch,
     path: &mut Vec<(usize, usize)>,
 ) -> f64 {
-    let dist = wavefront_dp::<false, true>(x, y, rows, f64::INFINITY, scratch).value();
-    let (cells, runs) = (&scratch.cells, &scratch.cell_runs);
+    let DtwScratch {
+        reversed,
+        diagonals,
+        cells,
+        cell_runs,
+        ..
+    } = scratch;
+    let mut keep = Keep::new(cells, cell_runs);
+    let ControlFlow::Continue(dist) = one_lane(x, y, rows, reversed, diagonals, &mut keep);
+    let (cells, runs) = (&*cells, &*cell_runs);
     // Cell (i, j) lies on anti-diagonal i + j, whose window cells are the
     // run of rows starting at the run's first row; `run(d)` reads row `i`
     // of anti-diagonal `d`. With NaN costs the walk can leave the window,
@@ -248,157 +328,490 @@ impl BoundedDistance {
     }
 }
 
-/// The one DTW dynamic program: [`dtw`] runs it over the full matrix,
-/// [`dtw_banded`] over the Sakoe–Chiba band, and FastDTW and
-/// [`dtw_with_path`] over their windows.
+/// The value of one DP cell: one pair's `f64`, or two pairs' `[f64; 2]`
+/// side by side, one per lane. [`wavefront_dp`] writes the recurrence
+/// once, over these element-wise operations.
+trait Lanes: Copy {
+    /// `+∞` in every lane: the value of a cell outside the window.
+    const INF: Self;
+    /// `0.0` in every lane: the origin's predecessor.
+    const ZERO: Self;
+    /// [`point_cost`] in every lane.
+    fn point_cost(x: Self, y: Self) -> Self;
+    /// The smaller operand in every lane.
+    fn min(a: Self, b: Self) -> Self;
+    /// The sum in every lane.
+    fn add(a: Self, b: Self) -> Self;
+    /// A test that no cell passes (cells are never negative), for the cell
+    /// loop to end on. It is there only for what it keeps the compiler
+    /// from doing: see the two-lane form.
+    fn ends_early(cell: Self) -> bool;
+}
+
+/// One pair: the textbook operations, with `f64::min`, which ignores a
+/// NaN operand.
+impl Lanes for f64 {
+    const INF: f64 = f64::INFINITY;
+    const ZERO: f64 = 0.0;
+    #[inline(always)]
+    fn point_cost(x: f64, y: f64) -> f64 {
+        point_cost(x, y)
+    }
+    #[inline(always)]
+    fn min(a: f64, b: f64) -> f64 {
+        a.min(b)
+    }
+    #[inline(always)]
+    fn add(a: f64, b: f64) -> f64 {
+        a + b
+    }
+    /// Constant `false`, so the cell loop has one exit, and the loop
+    /// vectoriser runs two or more cells of the anti-diagonal per SSE2
+    /// operation.
+    #[inline(always)]
+    fn ends_early(_: f64) -> bool {
+        false
+    }
+}
+
+/// Two pairs over finite samples (see [`dtw_banded_lanes`]): the min is
+/// the plain comparison `if a < b { a } else { b }`. Over finite samples
+/// no cell is NaN or −0.0 — point costs are squares, `+∞` at worst, and
+/// sums of them — so it returns `f64::min`'s bits, and it is what lets
+/// both lanes' cells compile to one SSE2 `minpd`.
+impl Lanes for [f64; 2] {
+    const INF: [f64; 2] = [f64::INFINITY; 2];
+    const ZERO: [f64; 2] = [0.0; 2];
+    #[inline(always)]
+    fn point_cost(x: [f64; 2], y: [f64; 2]) -> [f64; 2] {
+        [point_cost(x[0], y[0]), point_cost(x[1], y[1])]
+    }
+    #[inline(always)]
+    fn min(a: [f64; 2], b: [f64; 2]) -> [f64; 2] {
+        let min = |a: f64, b: f64| if a < b { a } else { b };
+        [min(a[0], b[0]), min(a[1], b[1])]
+    }
+    #[inline(always)]
+    fn add(a: [f64; 2], b: [f64; 2]) -> [f64; 2] {
+        [a[0] + b[0], a[1] + b[1]]
+    }
+    /// `cell[0] < 0.0`, never true. The test gives the cell loop a second
+    /// exit, which keeps LLVM's loop vectoriser from running two cells per
+    /// step with the lanes shuffled apart and back; each cell's two lanes
+    /// then share one register, and the loop costs about 0.8× as much (2.5
+    /// against 3.2 µs per pair in a 3,160-pair micro-run).
+    #[inline(always)]
+    fn ends_early(cell: [f64; 2]) -> bool {
+        cell[0] < 0.0
+    }
+}
+
+/// What [`wavefront_dp`] does after each anti-diagonal besides computing
+/// it: nothing ([`Distance`]), fold and check row minima ([`Abandon`]), or
+/// keep the cells ([`Keep`]). Each is a type of its own, so the DP is
+/// compiled once per use and the distance-only form folds nothing: folding
+/// the minima slows the no-threshold banded kernel by about 30% on
+/// 200-sample series.
+trait Visit<L> {
+    /// Why the evaluation stopped early.
+    type Stop;
+    /// Sees the cells of one anti-diagonal, rows `first..first +
+    /// cells.len()`; `Break` ends the evaluation.
+    fn diagonal(&mut self, first: usize, cells: &[L]) -> ControlFlow<Self::Stop>;
+    /// Called once after the last anti-diagonal of a window of `rows` rows.
+    fn finish(&mut self, rows: usize) -> ControlFlow<Self::Stop>;
+}
+
+/// The distance alone.
+struct Distance;
+
+impl<L> Visit<L> for Distance {
+    type Stop = Infallible;
+    #[inline(always)]
+    fn diagonal(&mut self, _: usize, _: &[L]) -> ControlFlow<Infallible> {
+        ControlFlow::Continue(())
+    }
+    #[inline(always)]
+    fn finish(&mut self, _: usize) -> ControlFlow<Infallible> {
+        ControlFlow::Continue(())
+    }
+}
+
+/// The early-abandon rule of [`dtw_banded`]: each row's minimum is folded
+/// as its cells are computed, and the first completed row whose minimum
+/// exceeds `above` (strictly) stops the evaluation with that minimum.
+///
+/// The first row of the wavefront moves by at most one row per
+/// anti-diagonal, because the anti-diagonal on which row `i` leaves,
+/// `i + hi_i`, grows strictly with `i`. So when an anti-diagonal starts
+/// one row later than the one before, the row it left behind completed on
+/// the one before, and rows complete in order; the last row completes with
+/// the last anti-diagonal. Each row is checked once, the anti-diagonal after it
+/// completes, so the decision and the bound are the row-major rule's.
+/// Point costs are never negative and `f64::min` ignores NaN, so a row
+/// minimum does not depend on the order of its cells.
+struct Abandon<'s> {
+    above: f64,
+    /// Per-row minima, grown only to the rows the wavefront reaches.
+    row_min: &'s mut Vec<f64>,
+    /// The wavefront's first row on the last anti-diagonal seen.
+    first: usize,
+}
+
+impl<'s> Abandon<'s> {
+    fn new(above: f64, row_min: &'s mut Vec<f64>) -> Self {
+        row_min.clear();
+        Abandon {
+            above,
+            row_min,
+            first: 0,
+        }
+    }
+
+    /// Stops if completed row `row`'s minimum exceeds the threshold. Every
+    /// row has a cell before it completes, so its minimum exists.
+    fn check(&self, row: usize) -> ControlFlow<f64> {
+        match self.row_min.get(row) {
+            Some(&min) if min > self.above => ControlFlow::Break(min),
+            _ => ControlFlow::Continue(()),
+        }
+    }
+}
+
+impl Visit<f64> for Abandon<'_> {
+    type Stop = f64;
+    fn diagonal(&mut self, first: usize, cells: &[f64]) -> ControlFlow<f64> {
+        if first > self.first {
+            self.check(self.first)?;
+            self.first = first;
+        }
+        let end = first + cells.len();
+        if self.row_min.len() < end {
+            self.row_min.resize(end, f64::INFINITY);
+        }
+        for (r, &cell) in self.row_min.iter_mut().skip(first).zip(cells) {
+            *r = r.min(cell);
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn finish(&mut self, rows: usize) -> ControlFlow<f64> {
+        self.check(rows - 1)
+    }
+}
+
+/// The path-returning forms' table: every anti-diagonal's cells — exactly
+/// the window's cells on it — appended to `cells` as one run, and in
+/// `runs` each run's first row and offset, then one entry marking the end.
+/// [`path_dp`] backtracks through it.
+struct Keep<'s> {
+    cells: &'s mut Vec<f64>,
+    runs: &'s mut Vec<(usize, usize)>,
+}
+
+impl<'s> Keep<'s> {
+    fn new(cells: &'s mut Vec<f64>, runs: &'s mut Vec<(usize, usize)>) -> Self {
+        cells.clear();
+        runs.clear();
+        Keep { cells, runs }
+    }
+}
+
+impl Visit<f64> for Keep<'_> {
+    type Stop = Infallible;
+    fn diagonal(&mut self, first: usize, cells: &[f64]) -> ControlFlow<Infallible> {
+        self.runs.push((first, self.cells.len()));
+        self.cells.extend_from_slice(cells);
+        ControlFlow::Continue(())
+    }
+
+    fn finish(&mut self, rows: usize) -> ControlFlow<Infallible> {
+        self.runs.push((rows, self.cells.len()));
+        ControlFlow::Continue(())
+    }
+}
+
+/// The anti-diagonals of a window, in order, each as its first row and its
+/// number of rows, walked from the window's rows.
 ///
 /// `rows` yields each row's inclusive column range, in row order, one per
 /// row of `x`. The ranges must be monotone (both edges non-decreasing),
 /// start at column 0 and end at the last column, as every FastDTW
-/// window's and Sakoe–Chiba band's are. Two clones of `rows`
-/// follow the wavefront — one on its first row, one on the row after its
-/// last — and each takes a row's range only when the wavefront reaches
-/// that row, so an evaluation abandoned in row 0 walks only the first
-/// few, and `scratch.row_min` grows only to the rows reached.
+/// window's and Sakoe–Chiba band's are. The rows of one anti-diagonal form
+/// an interval `[a, b]`, because `i + lo_i` and `i + hi_i` both grow
+/// strictly with `i`; each end moves by at most one row per anti-diagonal,
+/// and the interval is empty (`b = a − 1`) where consecutive rows' column
+/// ranges do not overlap, e.g. radius 0 with `M ≥ 2N`. Row `a` leaves the
+/// interval after anti-diagonal `a + hi_a`, and row `b + 1` enters it on
+/// anti-diagonal `b + 1 + lo_{b+1}`. Two clones of `rows` follow the
+/// wavefront — one on its first row, one on the row after its last — and
+/// keep just those two numbers, so each takes a row's range only when the
+/// wavefront reaches that row, and an evaluation abandoned in row 0 walks
+/// only the first few.
+struct Wavefront<R> {
+    /// The rows after `a`.
+    leaving: R,
+    /// The rows after `b + 1`.
+    entering: R,
+    a: usize,
+    b: usize,
+    /// The last anti-diagonal of row `a`.
+    a_last: usize,
+    /// The first anti-diagonal of row `b + 1` (`usize::MAX` past the last
+    /// row).
+    b_next: usize,
+    /// The next anti-diagonal, and one past the last.
+    d: usize,
+    end: usize,
+}
+
+impl<R: Iterator<Item = (usize, usize)> + Clone> Wavefront<R> {
+    /// The anti-diagonals of the `n × m` window whose rows are `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or `m` is zero.
+    fn new(rows: R, n: usize, m: usize) -> Self {
+        assert!(n > 0 && m > 0, "dtw requires non-empty series");
+        let mut leaving = rows.clone();
+        let mut entering = rows;
+        let a_last = leaving.next().map_or(usize::MAX, |(_, hi)| hi);
+        entering.next();
+        let b_next = entering.next().map_or(usize::MAX, |(lo, _)| 1 + lo);
+        Wavefront {
+            leaving,
+            entering,
+            a: 0,
+            b: 0,
+            a_last,
+            b_next,
+            d: 0,
+            end: n + m - 1,
+        }
+    }
+}
+
+impl<R: Iterator<Item = (usize, usize)>> Iterator for Wavefront<R> {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let d = self.d;
+        if d == self.end {
+            return None;
+        }
+        self.d += 1;
+        if self.a_last < d {
+            self.a += 1;
+            let a = self.a;
+            self.a_last = self.leaving.next().map_or(usize::MAX, |(_, hi)| a + hi);
+        }
+        if self.b_next <= d {
+            self.b += 1;
+            let b = self.b;
+            self.b_next = self
+                .entering
+                .next()
+                .map_or(usize::MAX, |(lo, _)| b + 1 + lo);
+        }
+        Some((self.a, self.b + 1 - self.a))
+    }
+}
+
+/// The anti-diagonals of one Sakoe–Chiba band shape, walked once: each
+/// anti-diagonal's first row and number of rows (see [`dtw_banded`] for
+/// the band).
+///
+/// The band depends only on the shape — `N` rows, `M` columns and the
+/// radius — so every pair of that shape can share one plan, and
+/// [`dtw_banded_lanes`] pays the band walk once per shape instead of once
+/// per pair.
+///
+/// # Example
+///
+/// ```
+/// use vp_timeseries::dtw::{dtw_banded, dtw_banded_lanes, BandPlan};
+/// use vp_timeseries::DtwScratch;
+///
+/// let (a, b) = ([0.0, 1.0, 2.0, 1.0], [0.0, 0.5, 2.0, 2.0, 1.0]);
+/// let (c, d) = ([1.0, 1.0, 0.0, 3.0], [2.0, 1.0, 0.0, 0.0, 3.0]);
+/// let plan = BandPlan::new(4, 5, 1);
+/// let mut scratch = DtwScratch::new();
+/// let both = dtw_banded_lanes(&plan, [&a, &c], [&b, &d], &mut scratch);
+/// assert_eq!(both[0], dtw_banded(&a, &b, 1, None, &mut scratch).value());
+/// assert_eq!(both[1], dtw_banded(&c, &d, 1, None, &mut scratch).value());
+/// ```
+#[derive(Debug, Clone)]
+pub struct BandPlan {
+    rows: usize,
+    cols: usize,
+    /// Per anti-diagonal: its first row and its number of rows.
+    diagonals: Vec<(usize, usize)>,
+}
+
+impl BandPlan {
+    /// The plan of the band of half-width `radius` over a `rows × cols`
+    /// matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn new(rows: usize, cols: usize, radius: usize) -> Self {
+        let band = SakoeChibaEdges::new(rows, cols, radius);
+        BandPlan {
+            rows,
+            cols,
+            diagonals: Wavefront::new(band, rows, cols).collect(),
+        }
+    }
+
+    /// The number of rows `N`: the length of the first series.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The number of columns `M`: the length of the second series.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+}
+
+/// [`dtw_banded`] without a threshold on two pairs of one shape at once:
+/// `[dist(x[0], y[0]), dist(x[1], y[1])]`, both over `plan`'s band.
+///
+/// The two pairs' samples are interleaved into the scratch, and the one
+/// DP runs on `[f64; 2]` cells, so one SSE2 operation advances both pairs
+/// and the per-anti-diagonal work is paid once for two. Each lane applies
+/// the textbook recurrence to its own pair with the same operands, and
+/// its min is the plain comparison `<`, which returns `f64::min`'s bits
+/// whenever no cell is NaN or −0.0. That holds for finite samples, even
+/// where a point cost overflows to `+∞`, so **with finite samples every
+/// distance has the bits of `dtw_banded(x[l], y[l], radius, None, ..)`**.
+/// A NaN or infinite sample voids that guarantee (the result is still
+/// returned, without a panic): callers check their series once and send
+/// a pair that touches a non-finite one to [`dtw_banded`].
+///
+/// # Panics
+///
+/// Panics if a series' length differs from `plan`'s shape.
+pub fn dtw_banded_lanes(
+    plan: &BandPlan,
+    x: [&[f64]; 2],
+    y: [&[f64]; 2],
+    scratch: &mut DtwScratch,
+) -> [f64; 2] {
+    let (n, m) = (plan.rows, plan.cols);
+    assert!(
+        x.iter().all(|s| s.len() == n) && y.iter().all(|s| s.len() == m),
+        "series lengths must match the band plan"
+    );
+    let DtwScratch {
+        lanes,
+        lane_diagonals,
+        ..
+    } = scratch;
+    lanes.clear();
+    lanes.extend(x[0].iter().zip(x[1]).map(|(&p, &q)| [p, q]));
+    lanes.extend(y[0].iter().zip(y[1]).rev().map(|(&p, &q)| [p, q]));
+    let (xs, ys) = lanes.split_at(n);
+    let diagonals = plan.diagonals.iter().copied();
+    let ControlFlow::Continue(d) = wavefront_dp(xs, ys, diagonals, lane_diagonals, &mut Distance);
+    d
+}
+
+/// The one DTW dynamic program: [`dtw`] runs it over the full matrix,
+/// [`dtw_banded`] over the Sakoe–Chiba band, FastDTW and
+/// [`dtw_with_path`] over their windows, all on one lane, and
+/// [`dtw_banded_lanes`] over a [`BandPlan`] on two.
+///
+/// The second series comes reversed, as `y_rev`. `diagonals` yields the
+/// window's anti-diagonals in order, each as its first row and its number
+/// of rows — a [`Wavefront`] walking the rows, or a plan's stored walk —
+/// `N + M − 1` of them, the last holding only the cell `(N−1, M−1)`.
+/// `buffers` holds the last three anti-diagonals and `visit` sees each one
+/// after it is computed (see [`Visit`]).
 ///
 /// # Anti-diagonal order
 ///
 /// Cell `(i, j)` reads `up = (i−1, j)` and `left = (i, j−1)` from
 /// anti-diagonal `i + j − 1` and `diag = (i−1, j−1)` from `i + j − 2`, so
 /// the cells of one anti-diagonal do not depend on each other. The DP
-/// walks anti-diagonals and keeps the last three in scratch buffers
-/// indexed by row (slot `i + 1`; slot 0 is row −1), and each
-/// anti-diagonal is a plain slice loop the compiler vectorises. Its rows
-/// form an interval `[a, b]`, because `i + lo_i` and `i + hi_i` both grow
-/// strictly with `i`; each end moves by at most one row per anti-diagonal,
-/// and the interval is empty (`b = a − 1`) where consecutive rows' column
-/// ranges do not overlap, e.g. radius 0 with `M ≥ 2N`. Row `a` leaves the
-/// interval after anti-diagonal `a + hi_a`, and row `b + 1` enters it on
-/// anti-diagonal `b + 1 + lo_{b+1}`; the two cursors keep just those two
-/// numbers.
+/// walks anti-diagonals and keeps the last three in `buffers`, indexed by
+/// row (slot `i + 1`; slot 0 is row −1). Along an anti-diagonal the row
+/// rises as the column falls, so with `y` reversed every slice is read
+/// front to back, and each anti-diagonal is a plain slice loop
+/// ([`anti_diagonal`]) the compiler vectorises without shuffling.
 ///
 /// Instead of per-cell range guards, each anti-diagonal writes `+∞` into
-/// the slots of rows `a − 1` and `b + 1`. The next two anti-diagonals read
-/// only those slots and the interval itself, so every neighbour outside
-/// the window reads as `+∞`, and stale buffer contents are never read. The
-/// origin's `c + 0.0` comes from a `0.0` in the row −1 slot of
-/// anti-diagonal −2.
+/// the slots of rows `a − 1` and `b + 1`, where `[a, b]` are its rows. The
+/// next two anti-diagonals read only those slots and the interval itself,
+/// so every neighbour outside the window reads as `+∞`, and stale buffer
+/// contents are never read. The origin's `c + 0.0` comes from a `0.0` in
+/// the row −1 slot of anti-diagonal −2.
 ///
 /// # Agreement with the scalar recurrence
 ///
-/// Every cell is `c + up.min(diag).min(left)`, the textbook recurrence with
-/// the same operands, so it agrees with a row-major scalar loop on every
-/// non-NaN bit and on which results are NaN; `tests/kernel_oracle.rs`
-/// checks exactly this.
-///
-/// With `ABANDON`, each row's minimum is folded as its cells are computed.
-/// Rows complete in order, and row `a` is complete after anti-diagonal
-/// `a + hi_a`; the first completed row whose minimum exceeds
-/// `abandon_above` (strictly) ends the evaluation with
-/// [`BoundedDistance::AboveThreshold`] carrying that minimum. Point costs
-/// are never negative and `f64::min` ignores NaN, so a row minimum does
-/// not depend on the order of its cells: the decision and the bound are
-/// those of the row-major rule [`dtw_banded`] documents. Without
-/// `ABANDON`, `abandon_above` is ignored and no minimum is folded. That is
-/// why the switch is a const parameter and not a run-time `Option`:
-/// folding the minima slows the no-threshold banded kernel by about 30% on
-/// 200-sample series.
-///
-/// With `KEEP`, every anti-diagonal's cells — exactly the window's cells
-/// on it — are appended to `scratch.cells` as one run, and
-/// `scratch.cell_runs` records each run's first row and offset, then one
-/// entry marking the end: the table [`path_dp`] backtracks through.
-/// `ABANDON` and `KEEP` are never both set.
-fn wavefront_dp<const ABANDON: bool, const KEEP: bool>(
-    x: &[f64],
-    y: &[f64],
-    rows: impl Iterator<Item = (usize, usize)> + Clone,
-    abandon_above: f64,
-    scratch: &mut DtwScratch,
-) -> BoundedDistance {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "dtw requires non-empty series"
-    );
-    let (n, m) = (x.len(), y.len());
-    let DtwScratch {
-        diagonals,
-        row_min,
-        cells,
-        cell_runs,
-        ..
-    } = scratch;
-    // The last anti-diagonal of the wavefront's first row `a`, and the
-    // first of the row after its last, `b + 1` (`usize::MAX` past the
-    // last row).
-    let mut entering = rows.clone().skip(1);
-    let mut leaving = rows;
-    let mut a_last = leaving.next().map_or(usize::MAX, |(_, hi)| hi);
-    let mut b_next = entering.next().map_or(usize::MAX, |(lo, _)| 1 + lo);
-    if ABANDON {
-        row_min.clear();
-        row_min.push(f64::INFINITY);
-    }
-    if KEEP {
-        cells.clear();
-        cell_runs.clear();
-    }
+/// Every cell is `c + min(min(up, diag), left)`, the textbook recurrence
+/// with the same operands. On one lane the min is `f64::min`, so the DP
+/// agrees with a row-major scalar loop on every non-NaN bit and on which
+/// results are NaN; on two it agrees on finite samples (see
+/// [`dtw_banded_lanes`]). `tests/kernel_oracle.rs` checks both.
+// vp-lint: allow(panic-reachability) — each anti-diagonal's rows a..a + len lie within 0..N and its columns within 0..M, so every slice is in range
+fn wavefront_dp<L: Lanes, V: Visit<L>>(
+    x: &[L],
+    y_rev: &[L],
+    diagonals: impl Iterator<Item = (usize, usize)>,
+    buffers: &mut Vec<L>,
+    visit: &mut V,
+) -> ControlFlow<V::Stop, L> {
+    let (n, m) = (x.len(), y_rev.len());
     let slots = n + 2;
-    if diagonals.len() < 3 * slots {
-        diagonals.resize(3 * slots, f64::INFINITY);
+    if buffers.len() < 3 * slots {
+        buffers.resize(3 * slots, L::INF);
     }
-    let (mut d2, rest) = diagonals[..3 * slots].split_at_mut(slots);
+    let (mut d2, rest) = buffers[..3 * slots].split_at_mut(slots);
     let (mut d1, mut d0) = rest.split_at_mut(slots);
     // Anti-diagonals −2 and −1: the origin's 0.0, and rows −1 and 0
     // outside the window.
-    d2[0] = 0.0;
-    d1[0] = f64::INFINITY;
-    d1[1] = f64::INFINITY;
+    d2[0] = L::ZERO;
+    d1[0] = L::INF;
+    d1[1] = L::INF;
 
-    let (mut a, mut b) = (0usize, 0usize);
-    for d in 0..n + m - 1 {
-        if a_last < d {
-            a += 1;
-            a_last = leaving.next().map_or(usize::MAX, |(_, hi)| a + hi);
-        }
-        if b_next <= d {
-            b += 1;
-            b_next = entering.next().map_or(usize::MAX, |(lo, _)| b + 1 + lo);
-            if ABANDON {
-                row_min.push(f64::INFINITY);
-            }
-        }
-        let len = b + 1 - a;
+    for (d, (a, len)) in diagonals.enumerate() {
         let xs = &x[a..a + len];
-        // Rows a..=b meet columns d − a down to d − b.
-        let ys = &y[d + 1 - a - len..d + 1 - a];
+        // Rows a..a + len meet columns d − a down to d − a − len + 1,
+        // which `y_rev` holds from index m − 1 − (d − a) upwards.
+        let rev = m - 1 + a - d;
+        let ys = &y_rev[rev..rev + len];
         let up = &d1[a..a + len];
         let left = &d1[a + 1..a + 1 + len];
         let diag = &d2[a..a + len];
         let out = &mut d0[a + 1..a + 1 + len];
-        for k in 0..len {
-            out[k] = point_cost(xs[k], ys[len - 1 - k]) + up[k].min(diag[k]).min(left[k]);
-        }
-        if ABANDON {
-            for (r, &cell) in row_min[a..a + len].iter_mut().zip(out.iter()) {
-                *r = r.min(cell);
-            }
-        }
-        d0[a] = f64::INFINITY;
-        d0[a + len + 1] = f64::INFINITY;
-        if KEEP {
-            cell_runs.push((a, cells.len()));
-            cells.extend_from_slice(&d0[a + 1..a + 1 + len]);
-        }
-        if ABANDON && a_last == d && row_min[a] > abandon_above {
-            return BoundedDistance::AboveThreshold(row_min[a]);
-        }
+        anti_diagonal(xs, ys, up, diag, left, out);
+        d0[a] = L::INF;
+        d0[a + len + 1] = L::INF;
+        visit.diagonal(a, &d0[a + 1..a + 1 + len])?;
         (d2, d1, d0) = (d1, d0, d2);
     }
-    if KEEP {
-        cell_runs.push((n, cells.len()));
+    visit.finish(n)?;
+    ControlFlow::Continue(d1[n])
+}
+
+/// One anti-diagonal's cells: the recurrence, written once.
+///
+/// A function of its own, so that LLVM knows `out` overlaps none of the
+/// slices it reads: its arguments' no-alias facts survive inlining, and
+/// the loop carries no run-time overlap checks into every anti-diagonal.
+#[inline]
+fn anti_diagonal<L: Lanes>(xs: &[L], ys: &[L], up: &[L], diag: &[L], left: &[L], out: &mut [L]) {
+    let inputs = xs.iter().zip(ys).zip(up.iter().zip(diag).zip(left));
+    for (out, ((&x, &y), ((&up, &diag), &left))) in out.iter_mut().zip(inputs) {
+        let cell = L::add(L::point_cost(x, y), L::min(L::min(up, diag), left));
+        *out = cell;
+        if L::ends_early(cell) {
+            break;
+        }
     }
-    BoundedDistance::Exact(d1[n])
 }
 
 /// Validates that `path` is a legal warp path for series of lengths `n`

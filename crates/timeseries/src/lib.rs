@@ -10,7 +10,8 @@
 //! * [`distance`] — Lp norms (Eq. 2), Euclidean, Manhattan, Chebyshev.
 //! * [`dtw`] — Dynamic Time Warping with squared point costs (Eq. 3–6):
 //!   one anti-diagonal (wavefront) dynamic program serves the exact,
-//!   Sakoe–Chiba banded and FastDTW distances and their warp paths.
+//!   Sakoe–Chiba banded and FastDTW distances and their warp paths, and
+//!   runs two banded pairs of one shape at once in SSE2 lanes.
 //! * [`window`] — FastDTW's projection of a coarse search window to the
 //!   next resolution, and the integer Sakoe–Chiba band edges, walked row
 //!   by row.
@@ -51,7 +52,7 @@ pub mod series;
 pub mod sketch;
 pub mod window;
 
-pub use dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
+pub use dtw::{dtw, dtw_banded, dtw_banded_lanes, dtw_with_path, BandPlan, BoundedDistance};
 pub use fastdtw::{fast_dtw, fast_dtw_with_path};
 pub use lowerbound::{lb_keogh_envelope, KeoghEnvelope};
 pub use normalize::{min_max_normalize, z_score_enhanced};

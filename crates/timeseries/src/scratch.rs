@@ -1,12 +1,14 @@
 //! Reusable scratch storage for the DTW kernels.
 //!
 //! Every DTW kernel in this crate — [`crate::dtw::dtw`],
-//! [`crate::dtw::dtw_banded`] and [`crate::fastdtw::fast_dtw`] — takes
-//! its working memory from a [`DtwScratch`]: the DP's last three
-//! anti-diagonals and the per-row minima of its abandon rule (filled only
-//! up to the rows the wavefront reaches); and the flat table of windowed
-//! cells that FastDTW's coarse levels backtrack through, and their
-//! coarsened series, paths and windows. A caller that measures
+//! [`crate::dtw::dtw_banded`], [`crate::dtw::dtw_banded_lanes`] and
+//! [`crate::fastdtw::fast_dtw`] — takes its working memory from a
+//! [`DtwScratch`]: the DP's last three anti-diagonals, its second series
+//! reversed, and the per-row minima of its abandon rule (filled only up
+//! to the rows the wavefront reaches); the two-lane DP's interleaved
+//! series and anti-diagonals; and the flat table of windowed cells that
+//! FastDTW's coarse levels backtrack through, and their coarsened series,
+//! paths and windows. A caller that measures
 //! many pairs — the comparison phase visits `n·(n−1)/2` of them per
 //! detection period — allocates once per worker thread instead of once
 //! per pair.
@@ -31,6 +33,8 @@
 pub struct DtwScratch {
     /// The DP's last three anti-diagonals, `N + 2` row slots each.
     pub(crate) diagonals: Vec<f64>,
+    /// The DP's second series, reversed.
+    pub(crate) reversed: Vec<f64>,
     /// Per-row minima of the DP's early-abandon rule.
     pub(crate) row_min: Vec<f64>,
     /// A path-keeping DP's windowed cells, anti-diagonal after
@@ -49,6 +53,11 @@ pub struct DtwScratch {
     pub(crate) pyramid_x: Vec<f64>,
     /// FastDTW's coarsening pyramid of the second series.
     pub(crate) pyramid_y: Vec<f64>,
+    /// The two-lane DP's series, interleaved: both pairs' first series,
+    /// then both pairs' second series, reversed.
+    pub(crate) lanes: Vec<[f64; 2]>,
+    /// The two-lane DP's last three anti-diagonals.
+    pub(crate) lane_diagonals: Vec<[f64; 2]>,
 }
 
 impl DtwScratch {
@@ -62,6 +71,7 @@ impl DtwScratch {
     pub fn with_capacity(max_len: usize) -> Self {
         DtwScratch {
             diagonals: Vec::with_capacity(3 * (max_len + 2)),
+            reversed: Vec::with_capacity(max_len),
             row_min: Vec::with_capacity(max_len),
             ..DtwScratch::default()
         }
@@ -124,7 +134,13 @@ mod tests {
     #[test]
     fn with_capacity_avoids_growth() {
         let mut scratch = DtwScratch::with_capacity(256);
-        let capacities = |s: &DtwScratch| [s.diagonals.capacity(), s.row_min.capacity()];
+        let capacities = |s: &DtwScratch| {
+            [
+                s.diagonals.capacity(),
+                s.reversed.capacity(),
+                s.row_min.capacity(),
+            ]
+        };
         let before = capacities(&scratch);
         let (x, y) = (wave(256, 0.0), wave(256, 0.3));
         let _ = dtw(&x, &y, &mut scratch);

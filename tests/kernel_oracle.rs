@@ -31,7 +31,13 @@
 //!    cells;
 //! 9. `dtw_with_path`, `fast_dtw_with_path` and `fast_dtw` against the
 //!    row-major path DP and FastDTW's recursion around it: the distance,
-//!    and the warp path step for step.
+//!    and the warp path step for step;
+//! 10. `dtw_banded_lanes` over a `BandPlan` against the scalar DP lane by
+//!     lane, and the comparator's no-threshold banded sweep, which runs
+//!     same-shape pairs two at a time in those lanes, against the scalar
+//!     DP pair by pair: groups of every parity, length-1 series, empty
+//!     anti-diagonals, radii past both lengths, point costs that overflow
+//!     to `+∞` and a series Eq. 7 maps partly to NaN, which runs alone.
 //!
 //! The contract is every non-NaN bit, and NaN exactly where the oracle
 //! gives NaN. The NaN's sign bit is not part of it: an `∞ − ∞` NaN can
@@ -46,10 +52,17 @@ use oracle::{
     float_band, scalar_banded, scalar_exact, scalar_fast_dtw_with_path, scalar_lb_keogh,
     scalar_windowed_path,
 };
+use voiceprint::comparator::{
+    compare_cancellable_with_threads, compare_sequential, ComparisonConfig,
+};
+use vp_par::CancelToken;
 use vp_stats::rng::SplitMix64;
-use vp_timeseries::dtw::{dtw, dtw_banded, dtw_with_path, BoundedDistance};
+use vp_timeseries::dtw::{
+    dtw, dtw_banded, dtw_banded_lanes, dtw_with_path, BandPlan, BoundedDistance,
+};
 use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
 use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
+use vp_timeseries::normalize::z_score_enhanced;
 use vp_timeseries::window::{sakoe_chiba_range, SakoeChibaEdges};
 use vp_timeseries::DtwScratch;
 
@@ -580,4 +593,131 @@ fn path_kernels_match_the_path_oracle() {
     let all_nan = vec![f64::NAN; 37];
     check_paths(&clean, &all_nan, 1, &mut scratch, "all NaN");
     check_paths(&all_nan, &clean, 1, &mut scratch, "all NaN");
+}
+
+// ---------------------------------------------------------------------
+// Two pairs per wavefront: the lane DP and the comparator's lane sweep.
+// ---------------------------------------------------------------------
+
+/// A random walk of `len` finite samples times `scale`.
+fn scaled_walk(rng: &mut SplitMix64, len: usize, scale: f64) -> Vec<f64> {
+    hostile_series(rng, len, false, 0)
+        .iter()
+        .map(|v| v * scale)
+        .collect()
+}
+
+/// `dtw_banded_lanes` over a `BandPlan` against the scalar DP, lane by
+/// lane, on random shapes: one row or one column, radius 0 with
+/// `M ≥ 2N` (empty anti-diagonals), radii at or past `max(N, M)`, and
+/// finite samples whose point costs overflow to `+∞`.
+#[test]
+fn two_lane_kernel_matches_the_oracle() {
+    let mut scratch = DtwScratch::new();
+    let mut overflowed = 0;
+    for case in 0..CASES / 3 {
+        let mut rng = SplitMix64::seed_from_u64(40_000 + case);
+        let max_len = if case % 3 == 0 { 8 } else { 201 };
+        let n = rng.range_usize(1..max_len);
+        let m = match case % 5 {
+            0 => n,
+            1 => 2 * n + rng.range_usize(0..5),
+            _ => rng.range_usize(1..max_len),
+        };
+        let radius = match case % 4 {
+            0 => 0,
+            1 => n.max(m) + rng.range_usize(0..4),
+            _ => rng.range_usize(0..12),
+        };
+        // One case in four: samples near 1e202, whose squared differences
+        // overflow.
+        let scale = if case % 4 == 3 { 1e200 } else { 1.0 };
+        let x = [0, 1].map(|_| scaled_walk(&mut rng, n, scale));
+        let y = [0, 1].map(|_| scaled_walk(&mut rng, m, scale));
+        let plan = BandPlan::new(n, m, radius);
+        let both = dtw_banded_lanes(&plan, [&x[0], &x[1]], [&y[0], &y[1]], &mut scratch);
+        for lane in 0..2 {
+            let what = format!("case {case} ({n}x{m}, r={radius}) lane {lane}");
+            let oracle = scalar_banded(&x[lane], &y[lane], radius, None).value();
+            assert_same(both[lane], oracle, &what);
+            overflowed += usize::from(oracle == f64::INFINITY);
+        }
+    }
+    assert!(overflowed > 0, "no case overflowed to +∞");
+}
+
+/// The comparator's no-threshold banded sweep — pairs grouped by band
+/// shape, two per wavefront, the odd one out and every pair touching a
+/// series that is non-finite after Eq. 7 alone — against the scalar DP
+/// pair by pair, on populations whose repeated lengths give groups of
+/// every parity, length-1 series included, at one and at two threads.
+#[test]
+fn lane_sweep_matches_the_oracle() {
+    let lengths = [1, 2, 3, 3, 5, 5, 5, 8, 40, 40, 41, 41, 41, 96, 97];
+    for case in 0..8u64 {
+        let mut rng = SplitMix64::seed_from_u64(50_000 + case);
+        // Even cases run Eq. 7 and carry one series it maps partly to NaN;
+        // odd cases skip it, and one series in three is scaled so that its
+        // point costs overflow to +∞.
+        let z_score = case % 2 == 0;
+        let mut series: Vec<(u64, Vec<f64>)> = lengths
+            .iter()
+            .enumerate()
+            .map(|(id, &len)| {
+                let scale = if !z_score && id % 3 == 0 { 1e200 } else { 1.0 };
+                (id as u64, scaled_walk(&mut rng, len, scale))
+            })
+            .collect();
+        if z_score {
+            // Finite samples whose running mean never overflows but whose
+            // spread does: σ is +∞, the first sample's distance from the
+            // mean overflows, and Eq. 7 gives NaN there and 0 elsewhere.
+            // With NaN at one end of a series the lanes' plain min and
+            // `f64::min` give different results, so only the fallback
+            // matches the oracle.
+            let ramp = [0.6, 0.3, 0.0, -0.3];
+            let overflowing = (0..41)
+                .map(|k| ramp.get(k).copied().unwrap_or(-0.6) * f64::MAX)
+                .collect();
+            series.push((lengths.len() as u64, overflowing));
+        }
+        let config = ComparisonConfig {
+            z_score_normalize: z_score,
+            min_series_len: 1,
+            ..ComparisonConfig::default()
+        };
+        let prepared: Vec<Vec<f64>> = series
+            .iter()
+            .map(|(_, s)| {
+                if z_score {
+                    z_score_enhanced(s)
+                } else {
+                    s.clone()
+                }
+            })
+            .collect();
+        if z_score {
+            let partly_nan = |s: &Vec<f64>| s[0].is_nan() && s[1..].iter().all(|v| v.is_finite());
+            assert!(prepared.iter().any(partly_nan));
+        }
+        for (threads, pd) in [
+            (1, compare_sequential(&series, &config)),
+            (
+                2,
+                compare_cancellable_with_threads(&series, &config, 2, &CancelToken::manual()).0,
+            ),
+        ] {
+            assert_eq!(pd.len(), prepared.len(), "case {case}: ids dropped");
+            for i in 0..prepared.len() {
+                for j in i + 1..prepared.len() {
+                    let max_len = prepared[i].len().max(prepared[j].len());
+                    let radius = ((max_len as f64 * 0.05).ceil() as usize).max(3);
+                    let oracle = scalar_banded(&prepared[i], &prepared[j], radius, None).value()
+                        / max_len as f64;
+                    let what = format!("case {case}, {threads} thread(s), pair ({i}, {j})");
+                    assert_same(pd.raw_between(i, j), oracle, &what);
+                }
+            }
+        }
+    }
 }
