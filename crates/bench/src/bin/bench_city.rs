@@ -10,8 +10,11 @@
 //! nothing, run on a fork-join over in-memory feeds, should deliver. The
 //! largest row runs ≥1k observers over ≥100k distinct identities.
 //!
-//! Writes `results/BENCH_city.json`. Thread count follows
-//! `VP_NUM_THREADS` (default: all cores).
+//! Thread count follows `VP_NUM_THREADS` (default: all cores), and every
+//! row records its worker count. A 1-worker run writes
+//! `results/BENCH_city.json`; a run at `t` ≠ 1 workers writes
+//! `results/BENCH_city_{t}t.json` instead, so the 1- and 2-worker runs
+//! sit side by side.
 //!
 //! `--smoke` runs the CI correctness gate instead: a small fleet
 //! asserting the sharded city (any worker count) is bit-identical to an
@@ -174,7 +177,7 @@ fn main() {
     // so near-linear total wall clock == flat shards/s.
     let mut rows = Vec::new();
     for shards in [128u64, 256, 512, 1024] {
-        let (secs, suspects) = timed_run(shards, 0);
+        let (secs, suspects) = timed_run(shards, max_workers);
         let rate = shards as f64 / secs;
         println!(
             "{:>7} {:>10} {:>11} {:>9.3} {:>11.1} {:>9}",
@@ -186,7 +189,7 @@ fn main() {
             suspects
         );
         rows.push(format!(
-            "    {{\"shards\": {shards}, \"observers\": {shards}, \
+            "    {{\"workers\": {max_workers}, \"shards\": {shards}, \"observers\": {shards}, \
              \"identities\": {}, \"wall_s\": {secs:.4}, \"shards_per_s\": {rate:.2}, \
              \"fused_suspects\": {suspects}}}",
             shards * IDS_PER_SHARD
@@ -215,7 +218,12 @@ fn main() {
         rows.join(",\n"),
         thread_rows.join(",\n"),
     );
+    let path = if max_workers == 1 {
+        "results/BENCH_city.json".to_string()
+    } else {
+        format!("results/BENCH_city_{max_workers}t.json")
+    };
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_city.json", &json).expect("write BENCH_city.json");
-    println!("wrote results/BENCH_city.json");
+    std::fs::write(&path, &json).expect("write the city bench JSON");
+    println!("wrote {path}");
 }

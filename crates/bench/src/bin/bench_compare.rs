@@ -14,9 +14,12 @@
 //! `--smoke` runs the CI correctness gate instead: a small sliding
 //! sweep asserting cascade results equal the exact sweep, and each
 //! round's cascade counters (sketch triage rejections, LB_Keogh prunes,
-//! abandoned DPs, cache hits) equal their pins. The counters are
-//! deterministic, so the gate never reads a clock, and a loosened bound
-//! moves them. No files are written.
+//! abandoned DPs, cache hits) equal their pins; then one cascade round
+//! under an item budget below its pair count, as the streaming runtime
+//! runs it under a `PairBudget`, whose computed, triage, LB and abandon
+//! counts are pinned too. The counters are deterministic at any thread
+//! count, so the gate never reads a clock, and a loosened bound moves
+//! them. No files are written.
 //!
 //! The 1-thread run also writes `results/BENCH_obs.json` with the
 //! observability layer's overhead: one compare + confirm round with no
@@ -24,10 +27,14 @@
 
 use std::time::Instant;
 
-use voiceprint::comparator::{compare, compare_sequential, compare_with_cache, ComparisonConfig};
+use voiceprint::comparator::{
+    compare, compare_cancellable_with_cache, compare_sequential, compare_with_cache,
+    ComparisonConfig,
+};
 use voiceprint::confirm::confirm;
 use voiceprint::threshold::ThresholdPolicy;
 use voiceprint::ComparisonCache;
+use vp_par::CancelToken;
 
 fn neighbourhood(n: usize, samples: usize) -> Vec<(u64, Vec<f64>)> {
     (0..n as u64)
@@ -282,11 +289,21 @@ fn bench_sliding_row(
 const SMOKE_COUNTERS: [(u64, u64, u64, u64); 3] =
     [(39, 58, 7, 0), (10, 12, 1, 91), (12, 12, 1, 91)];
 
+/// The item budget of the smoke's budgeted cascade round, below its 120
+/// pairs.
+const SMOKE_BUDGET: u64 = 70;
+
+/// Pinned counters of the smoke's budgeted cascade round:
+/// `(computed, triage_rejected, pruned_lb, pruned_abandon)`.
+const SMOKE_BUDGETED: (u64, u64, u64, u64) = (70, 25, 33, 5);
+
 /// CI smoke mode (`--smoke`): a small sliding-window sweep asserting the
 /// cascade's correctness contracts — cached results bit-identical to the
 /// uncached sweep under the same configuration, cascade verdicts
 /// identical to the exact sweep's, and every round's cascade counters
-/// equal to [`SMOKE_COUNTERS`] — then exits without writing results.
+/// equal to [`SMOKE_COUNTERS`] — then one budgeted cascade round whose
+/// computed pairs are exactly the budget's prefix, bit for bit, with
+/// counters equal to [`SMOKE_BUDGETED`]; exits without writing results.
 fn smoke() {
     let samples = 200;
     let dirty = 2;
@@ -351,7 +368,52 @@ fn smoke() {
             "round {round}: cascade counters (triage, LB, abandon, cache hits) moved"
         );
     }
-    println!("smoke ok: cascade matches the exact sweep across sliding windows");
+    // A budgeted cascade round: the budget is claimed up front, so the
+    // sweep fans out over the thread budget and still computes exactly
+    // pairs 0..SMOKE_BUDGET, with the bits of the unbudgeted sweep.
+    let series = sliding_window(16, samples, 0, dirty);
+    let full = compare_sequential(&series, &cascade_cfg);
+    let token = CancelToken::after_items(SMOKE_BUDGET);
+    let (partial, complete, counters) = compare_cancellable_with_cache(
+        &series,
+        &cascade_cfg,
+        vp_par::max_threads(),
+        &token,
+        &mut ComparisonCache::new(1024),
+    );
+    assert!(
+        !complete,
+        "budgeted round: the budget is below the pair count"
+    );
+    for (k, ((_, _, got), (_, _, want))) in partial.iter().zip(full.iter()).enumerate() {
+        if (k as u64) < SMOKE_BUDGET {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "budgeted round: pair {k} moved"
+            );
+        } else {
+            assert!(
+                got.is_nan(),
+                "budgeted round: pair {k} past the budget was computed"
+            );
+        }
+    }
+    let seen = (
+        counters.computed,
+        counters.triage_rejected,
+        counters.pruned_lb,
+        counters.pruned_abandon,
+    );
+    println!(
+        "budgeted round: {} pairs, budget {SMOKE_BUDGET}: {} computed, {} triage-rejected, {} LB-pruned, {} abandoned",
+        counters.pairs, seen.0, seen.1, seen.2, seen.3
+    );
+    assert_eq!(
+        seen, SMOKE_BUDGETED,
+        "budgeted round: counters (computed, triage, LB, abandon) moved"
+    );
+    println!("smoke ok: cascade matches the exact sweep across sliding windows and under a budget");
 }
 
 fn main() {

@@ -5,13 +5,17 @@
 //! Wall-clock measurement of the same two quantities on the machine it
 //! runs on, plus the per-pair cost of the banded DTW kernel the
 //! calibrated default uses (radius 10, 5% of 200 samples) and of exact
-//! DTW, for scale. Every row calls the kernel the comparator runs for
-//! that measure, with one reused `DtwScratch`, as a comparison worker
-//! does. Whole-round costs live in `bench_compare` and the repository
-//! benchmark's `paper80` workload.
+//! DTW, for scale. Every per-pair row calls the kernel the comparator
+//! runs for that measure, with one reused `DtwScratch`, as a comparison
+//! worker does. The last row is the calibrated default's whole
+//! comparison phase over the same 80 neighbours — `compare_sequential`
+//! with `ComparisonConfig::default()`: Eq. 7, then the banded sweep, which
+//! runs same-shape pairs two per wavefront. Whole-round costs live in
+//! `bench_compare` and the repository benchmark's `paper80` workload.
 
 use std::hint::black_box;
 use std::time::Instant;
+use voiceprint::comparator::{compare_sequential, ComparisonConfig};
 use vp_timeseries::dtw::{dtw, dtw_banded};
 use vp_timeseries::fastdtw::fast_dtw;
 use vp_timeseries::normalize::z_score_enhanced;
@@ -76,6 +80,18 @@ fn main() {
     println!(
         "80-neighbour full scan (3160 pairs):      {:.1} ms  [paper: ~630 ms]",
         scan * 1e3
+    );
+
+    // The same 80 neighbours through the calibrated comparison phase, on
+    // one thread; it applies Eq. 7 itself, so it takes the raw series.
+    let raw: Vec<(u64, Vec<f64>)> = (0..80).map(|k| (k, series(200, k as f64 * 0.3))).collect();
+    let t0 = Instant::now();
+    let sweep = compare_sequential(black_box(&raw), &ComparisonConfig::default());
+    let calibrated = t0.elapsed().as_secs_f64();
+    acc += sweep.raw_between(0, 1);
+    println!(
+        "80-neighbour calibrated sweep (3160 pairs): {:.1} ms  [compare_sequential, default]",
+        calibrated * 1e3
     );
     println!("(accumulator {acc:.3e} — prevents the optimiser from eliding the work)");
 }

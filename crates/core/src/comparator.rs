@@ -14,10 +14,10 @@ use vp_par::{par_fill_with_cancel, par_fill_with_threads, CancelToken};
 use vp_timeseries::distance::squared_euclidean;
 use vp_timeseries::dtw::{dtw, dtw_banded, dtw_banded_lanes, BandPlan, BoundedDistance};
 use vp_timeseries::fastdtw::fast_dtw;
-use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
+use vp_timeseries::lowerbound::{KeoghEnvelope, KeoghRows};
 use vp_timeseries::normalize::{min_max_normalize, z_score_enhanced};
 use vp_timeseries::scratch::DtwScratch;
-use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch};
+use vp_timeseries::sketch::{SeriesSketch, SketchPlan};
 
 use crate::cache::{series_fingerprint, ComparisonCache};
 use crate::trace;
@@ -529,7 +529,6 @@ fn compare_impl(
     // Always-on cascade tally the kernels report their per-pair
     // decisions into.
     let tally = KernelTally::default();
-    let tally_ref = &tally;
 
     // Sketches for the triage stage of the cascade: built once per
     // sweep, and only when an active prune threshold can consume them.
@@ -543,9 +542,9 @@ fn compare_impl(
     let sketches = sketches.as_deref();
 
     // The measure is dispatched once, outside the pair loop; each arm
-    // hands a monomorphised kernel to the branch-free fill below. `run`
-    // is handed either the full pair list or — with a cache — only the
-    // misses, over a compacted slot array.
+    // hands a monomorphised kernel to a branch-free fill. `run` is handed
+    // either the full pair list or — with a cache — only the misses, over
+    // a compacted slot array.
     let run = |slots: &mut [f64], todo: &[(u32, u32)]| -> usize {
         match config.measure {
             DistanceMeasure::FastDtw { radius } => fill_pairs(
@@ -556,80 +555,39 @@ fn compare_impl(
                 threads,
                 token,
                 &stats,
-                |_, _, a, b, _, s| fast_dtw(a, b, radius, s),
+                |a, b, s| fast_dtw(a, b, radius, s),
             ),
             DistanceMeasure::BandedDtw { band_fraction } => {
-                match config.effective_prune_threshold() {
-                    None => fill_banded_lanes(
-                        slots,
-                        todo,
-                        &prepared,
-                        band_fraction,
-                        config.per_step_cost,
-                        threads,
-                        token,
-                        &stats,
-                    ),
-                    Some(t) => {
-                        let per_step = config.per_step_cost;
-                        // LB_Keogh's envelope tables: built once per sweep,
-                        // like the sketches, for every series and radius.
-                        let envelopes = &SweepEnvelopes::build(&prepared, band_fraction);
-                        fill_pairs(
-                            slots,
-                            todo,
-                            &prepared,
-                            config,
-                            threads,
-                            token,
-                            &stats,
-                            move |i, j, a, b, max_len, s| {
-                                let band = band_width(max_len, band_fraction);
-                                // The threshold is in reported-distance units;
-                                // undo the per-step division for the raw-cost
-                                // kernels.
-                                let t_raw = if per_step { t * max_len as f64 } else { t };
-                                // Stage 1: constant-cost sketch triage.
-                                if let Some(sk) = sketches {
-                                    let slb = sketch_lower_bound(&sk[i], &sk[j], band);
-                                    if slb > t_raw {
-                                        tally_ref.triage_rejected.fetch_add(1, Ordering::Relaxed);
-                                        return slb;
-                                    }
-                                }
-                                // Stage 2: LB_Keogh, one pass over `a` reading
-                                // `b`'s envelope tables.
-                                let lb = lb_keogh_envelope(a, envelopes.get(j, band));
-                                if lb > t_raw {
-                                    tally_ref.pruned_lb.fetch_add(1, Ordering::Relaxed);
-                                    lb
-                                } else {
-                                    // Stage 3: banded DP with early abandon.
-                                    match dtw_banded(a, b, band, Some(t_raw), s) {
-                                        BoundedDistance::Exact(v) => v,
-                                        BoundedDistance::AboveThreshold(v) => {
-                                            tally_ref
-                                                .pruned_abandon
-                                                .fetch_add(1, Ordering::Relaxed);
-                                            v
-                                        }
-                                    }
-                                }
-                            },
-                        )
+                // LB_Keogh's envelope tables: built once per sweep, like
+                // the sketches, for every series and radius.
+                let envelopes;
+                let cascade = match config.effective_prune_threshold() {
+                    Some(threshold) => {
+                        envelopes = SweepEnvelopes::build(&prepared, band_fraction);
+                        Some(Cascade {
+                            threshold,
+                            sketches,
+                            envelopes: &envelopes,
+                            tally: &tally,
+                        })
                     }
-                }
+                    None => None,
+                };
+                fill_banded(
+                    slots,
+                    todo,
+                    &prepared,
+                    band_fraction,
+                    config.per_step_cost,
+                    threads,
+                    token,
+                    &stats,
+                    cascade.as_ref(),
+                )
             }
-            DistanceMeasure::ExactDtw => fill_pairs(
-                slots,
-                todo,
-                &prepared,
-                config,
-                threads,
-                token,
-                &stats,
-                |_, _, a, b, _, s| dtw(a, b, s),
-            ),
+            DistanceMeasure::ExactDtw => {
+                fill_pairs(slots, todo, &prepared, config, threads, token, &stats, dtw)
+            }
             DistanceMeasure::TruncatedEuclidean => fill_pairs(
                 slots,
                 todo,
@@ -638,7 +596,7 @@ fn compare_impl(
                 threads,
                 token,
                 &stats,
-                |_, _, a, b, _, _| {
+                |a, b, _| {
                     let m = a.len().min(b.len());
                     squared_euclidean(&a[..m], &b[..m])
                 },
@@ -797,54 +755,165 @@ fn band_width(max_len: usize, band_fraction: f64) -> usize {
     ((max_len as f64 * band_fraction).ceil() as usize).max(3)
 }
 
-/// One kernel call of the lane sweep ([`fill_banded_lanes`]), naming its
-/// pairs by their index in the sweep's pair list.
-#[derive(Debug, Clone, Copy)]
-enum LaneJob {
-    /// Two pairs of one band shape, run in the two lanes of
-    /// [`dtw_banded_lanes`].
-    Lanes([usize; 2]),
-    /// One pair on its own, through [`dtw_banded`]: the odd one out of its
-    /// shape, or a pair touching a series that is non-finite after Eq. 7.
-    Single(usize),
+/// The pruned arm of the banded sweep: what the cascade reads besides a
+/// pair's two series.
+struct Cascade<'s> {
+    /// The prune threshold, in reported-distance units.
+    threshold: f64,
+    /// Per series, its triage sketch, when sketch triage is on.
+    sketches: Option<&'s [SeriesSketch]>,
+    /// Per series, its LB_Keogh envelope tables.
+    envelopes: &'s SweepEnvelopes,
+    /// Where the cascade's decisions are counted.
+    tally: &'s KernelTally,
 }
 
-impl LaneJob {
-    fn pairs(&self) -> &[usize] {
-        match self {
-            LaneJob::Lanes(pairs) => pairs,
-            LaneJob::Single(k) => std::slice::from_ref(k),
+/// The cascade's bound geometry for one band shape, built once per shape
+/// and worker: the sketch bound's plan (when triage is on) and LB_Keogh's
+/// row table.
+struct BoundsPlan {
+    sketch: Option<SketchPlan>,
+    rows: KeoghRows,
+}
+
+impl Cascade<'_> {
+    fn plan(&self, n: usize, m: usize, band: usize) -> BoundsPlan {
+        BoundsPlan {
+            sketch: self.sketches.map(|_| SketchPlan::new(n, m, band)),
+            rows: KeoghRows::new(n, m),
+        }
+    }
+
+    /// Pair `(i, j)` through the cascade, in raw-cost units: the sketch
+    /// bound, then LB_Keogh, then the DP abandoning above the threshold.
+    /// A pair stops at the first stage whose bound exceeds the threshold
+    /// and stores that bound.
+    #[allow(clippy::too_many_arguments)]
+    fn pair(
+        &self,
+        (i, j): (u32, u32),
+        a: &[f64],
+        b: &[f64],
+        band: usize,
+        per_step: bool,
+        plan: &BoundsPlan,
+        scratch: &mut DtwScratch,
+    ) -> f64 {
+        let max_len = a.len().max(b.len());
+        // The threshold is in reported-distance units; undo the per-step
+        // division for the raw-cost kernels.
+        let t_raw = if per_step {
+            self.threshold * max_len as f64
+        } else {
+            self.threshold
+        };
+        let (i, j) = (i as usize, j as usize);
+        // Stage 1: sketch triage.
+        if let (Some(sketches), Some(sketch)) = (self.sketches, &plan.sketch) {
+            let slb = sketch.lower_bound(&sketches[i], &sketches[j]);
+            if slb > t_raw {
+                self.tally.triage_rejected.fetch_add(1, Ordering::Relaxed);
+                return slb;
+            }
+        }
+        // Stage 2: LB_Keogh, one pass over `a` reading `b`'s envelope
+        // tables.
+        let lb = plan.rows.lower_bound(a, self.envelopes.get(j, band));
+        if lb > t_raw {
+            self.tally.pruned_lb.fetch_add(1, Ordering::Relaxed);
+            return lb;
+        }
+        // Stage 3: banded DP with early abandon.
+        match dtw_banded(a, b, band, Some(t_raw), scratch) {
+            BoundedDistance::Exact(v) => v,
+            BoundedDistance::AboveThreshold(v) => {
+                self.tally.pruned_abandon.fetch_add(1, Ordering::Relaxed);
+                v
+            }
         }
     }
 }
 
-/// The no-threshold banded sweep, two pairs per wavefront: fills `raw`
-/// like [`fill_pairs`] with the banded kernel, with the same bits.
+/// One kernel call of the banded sweep ([`fill_banded`]), naming its pairs
+/// by their index in the sweep's pair list.
+#[derive(Debug, Clone, Copy)]
+enum BandJob {
+    /// Two pairs of one band shape, run in the two lanes of
+    /// [`dtw_banded_lanes`].
+    Lanes([usize; 2]),
+    /// One pair on its own: through the cascade, or through [`dtw_banded`]
+    /// as the odd one out of its shape or a pair touching a series that is
+    /// non-finite after Eq. 7.
+    Single(usize),
+}
+
+impl BandJob {
+    fn pairs(&self) -> &[usize] {
+        match self {
+            BandJob::Lanes(pairs) => pairs,
+            BandJob::Single(k) => std::slice::from_ref(k),
+        }
+    }
+}
+
+/// One worker of the banded sweep: its DP scratch, and the plan of the
+/// band shape `(N, M)` its last job of each arm was on.
+#[derive(Default)]
+struct BandWorker {
+    scratch: DtwScratch,
+    /// The lane arm's anti-diagonals.
+    lanes: Option<((usize, usize), BandPlan)>,
+    /// The cascade's bound geometry.
+    bounds: Option<((usize, usize), BoundsPlan)>,
+}
+
+/// The plan of `shape` in `slot`: kept if the last one was of that shape,
+/// built otherwise.
+fn kept_plan<P>(
+    slot: &mut Option<((usize, usize), P)>,
+    shape: (usize, usize),
+    build: impl FnOnce() -> P,
+) -> &P {
+    if slot.as_ref().is_some_and(|(kept, _)| *kept != shape) {
+        *slot = None;
+    }
+    &slot.get_or_insert_with(|| (shape, build())).1
+}
+
+/// The banded sweep, both arms of [`DistanceMeasure::BandedDtw`]: fills
+/// `raw` like [`fill_pairs`] would with the banded kernel — or, with a
+/// `cascade`, with the pruned per-pair cascade — with the same bits, and
+/// returns the number of pairs computed.
 ///
-/// Pairs are grouped by band shape `(N, M)` — the radius follows from the
-/// longer length — with a stable sort, so the grouping is deterministic
-/// and a group keeps pair order. Same-shape pairs run two at a time
-/// through [`dtw_banded_lanes`], so one SSE2 operation advances both and
-/// the per-anti-diagonal work is paid once per two pairs; an odd pair out
-/// runs alone through [`dtw_banded`]. A worker builds a shape's
-/// [`BandPlan`] when the first job of that shape reaches it and keeps it
-/// for the jobs that follow: the jobs are in shape order, so one worker
-/// builds each plan once, and a second rebuilds one only where a block of
-/// jobs starts mid-shape.
+/// Both arms group their pairs by band shape `(N, M)` — the radius
+/// follows from the longer length — with a sort on `(N, M, pair index)`,
+/// so the grouping is deterministic and a group keeps pair order. A
+/// worker builds a shape's plan when the first job of that shape reaches
+/// it and keeps it for the jobs that follow: the jobs are in shape order,
+/// so one worker builds each plan once, and a second rebuilds one only
+/// where a block of jobs starts mid-shape.
 ///
-/// The lanes' min is a plain comparison, which keeps `f64::min`'s bits
-/// only over finite samples, so the prepared series are checked once per
-/// sweep (Eq. 7 can overflow finite input) and every pair touching a
-/// non-finite one runs alone.
+/// * **No threshold.** Same-shape pairs run two at a time through
+///   [`dtw_banded_lanes`] over the shape's [`BandPlan`], so one SSE2
+///   operation advances both and the per-anti-diagonal work is paid once
+///   per two pairs; an odd pair out runs alone through [`dtw_banded`]. The
+///   lanes' min is a plain comparison, which keeps `f64::min`'s bits only
+///   over finite samples, so the prepared series are checked once per
+///   sweep (Eq. 7 can overflow finite input) and every pair touching a
+///   non-finite one runs alone.
+/// * **With a threshold.** Every pair runs alone through the cascade
+///   ([`Cascade::pair`]), whose sketch bound and LB_Keogh read the shape's
+///   [`BoundsPlan`] instead of walking the band per pair.
 ///
 /// An item budget ([`CancelToken::after_items`]) is claimed up front, one
 /// item per pair in index order, and only the claimed prefix is grouped
-/// and computed, so the budget still computes exactly pairs `0..n`. Any
-/// other token is consulted before each job. Either way the return value
-/// counts the pairs computed, and the rest keep the caller's prefill.
+/// and computed, so the budget still computes exactly pairs `0..n`, and
+/// the sweep fans out over `threads` under it. Any other token is
+/// consulted before each job. The rest of the slots keep the caller's
+/// prefill.
 #[allow(clippy::too_many_arguments)]
 // vp-lint: allow(panic-reachability) — pair indices were built over todo's range, and todo's over prepared's, in this fn and its caller
-fn fill_banded_lanes(
+fn fill_banded(
     raw: &mut [f64],
     todo: &[(u32, u32)],
     prepared: &[Cow<'_, [f64]>],
@@ -853,6 +922,7 @@ fn fill_banded_lanes(
     threads: usize,
     token: Option<&CancelToken>,
     stats: &trace::SweepStats,
+    cascade: Option<&Cascade<'_>>,
 ) -> usize {
     let (todo, token) = match token {
         Some(t) if t.has_item_budget() => {
@@ -869,52 +939,67 @@ fn fill_banded_lanes(
         let (a, b) = series(k);
         (a.len(), b.len())
     };
+    // The lanes need finite series; the cascade's kernels take any.
     let finite: Vec<bool> = prepared
         .iter()
-        .map(|s| s.iter().all(|v| v.is_finite()))
+        .map(|s| cascade.is_some() || s.iter().all(|v| v.is_finite()))
         .collect();
-    let (mut order, fallback): (Vec<usize>, Vec<usize>) = (0..todo.len()).partition(|&k| {
-        let (i, j) = todo[k];
-        finite[i as usize] && finite[j as usize]
-    });
-    order.sort_by_key(|&k| shape(k));
-    let mut jobs = Vec::with_capacity(order.len() / 2 + fallback.len() + 1);
-    for group in order.chunk_by(|&p, &q| shape(p) == shape(q)) {
-        let two = group.chunks_exact(2);
-        jobs.extend(two.remainder().iter().map(|&k| LaneJob::Single(k)));
-        jobs.extend(two.map(|p| LaneJob::Lanes([p[0], p[1]])));
+    let mut order = Vec::with_capacity(todo.len());
+    let mut fallback = Vec::new();
+    for (k, &(i, j)) in todo.iter().enumerate() {
+        if finite[i as usize] && finite[j as usize] {
+            order.push((shape(k), k));
+        } else {
+            fallback.push(BandJob::Single(k));
+        }
     }
-    jobs.extend(fallback.into_iter().map(LaneJob::Single));
+    // Pair indices are distinct, so this order is total.
+    order.sort_unstable();
+    let mut jobs = Vec::with_capacity(order.len() + fallback.len());
+    for group in order.chunk_by(|p, q| p.0 == q.0) {
+        if cascade.is_some() {
+            jobs.extend(group.iter().map(|&(_, k)| BandJob::Single(k)));
+            continue;
+        }
+        let two = group.chunks_exact(2);
+        jobs.extend(two.remainder().iter().map(|&(_, k)| BandJob::Single(k)));
+        jobs.extend(two.map(|p| BandJob::Lanes([p[0].1, p[1].1])));
+    }
+    jobs.extend(fallback);
 
     let mut done: Vec<Option<[f64; 2]>> = vec![None; jobs.len()];
-    let init = || (DtwScratch::new(), None::<BandPlan>);
-    let item =
-        |q: usize, slot: &mut Option<[f64; 2]>, worker: &mut (DtwScratch, Option<BandPlan>)| {
-            let (scratch, plan) = worker;
-            let started = stats.pair_start();
-            let job = jobs[q];
-            *slot = Some(match job {
-                LaneJob::Lanes([k0, k1]) => {
-                    let (n, m) = shape(k0);
-                    let plan = match plan {
-                        Some(p) if (p.rows(), p.cols()) == (n, m) => p,
-                        _ => plan.insert(BandPlan::new(n, m, band_width(n.max(m), band_fraction))),
-                    };
-                    let ((x0, y0), (x1, y1)) = (series(k0), series(k1));
-                    dtw_banded_lanes(plan, [x0, x1], [y0, y1], scratch)
-                }
-                LaneJob::Single(k) => {
-                    let (a, b) = series(k);
-                    let band = band_width(a.len().max(b.len()), band_fraction);
-                    [dtw_banded(a, b, band, None, scratch).value(); 2]
-                }
-            });
-            stats.pair_end(started, job.pairs().len());
-        };
+    let item = |q: usize, slot: &mut Option<[f64; 2]>, worker: &mut BandWorker| {
+        let started = stats.pair_start();
+        let job = jobs[q];
+        *slot = Some(match (job, cascade) {
+            (BandJob::Lanes([k0, k1]), _) => {
+                let ((x0, y0), (x1, y1)) = (series(k0), series(k1));
+                let (n, m) = shape(k0);
+                let plan = kept_plan(&mut worker.lanes, (n, m), || {
+                    BandPlan::new(n, m, band_width(n.max(m), band_fraction))
+                });
+                dtw_banded_lanes(plan, [x0, x1], [y0, y1], &mut worker.scratch)
+            }
+            (BandJob::Single(k), None) => {
+                let (a, b) = series(k);
+                let band = band_width(a.len().max(b.len()), band_fraction);
+                [dtw_banded(a, b, band, None, &mut worker.scratch).value(); 2]
+            }
+            (BandJob::Single(k), Some(cascade)) => {
+                let (a, b) = series(k);
+                let (n, m) = shape(k);
+                let band = band_width(n.max(m), band_fraction);
+                let plan = kept_plan(&mut worker.bounds, (n, m), || cascade.plan(n, m, band));
+                let d = cascade.pair(todo[k], a, b, band, per_step, plan, &mut worker.scratch);
+                [d; 2]
+            }
+        });
+        stats.pair_end(started, job.pairs().len());
+    };
     match token {
-        None => par_fill_with_threads(&mut done, threads, init, item),
+        None => par_fill_with_threads(&mut done, threads, BandWorker::default, item),
         Some(token) => {
-            par_fill_with_cancel(&mut done, threads, token, init, item);
+            par_fill_with_cancel(&mut done, threads, token, BandWorker::default, item);
         }
     }
     let mut computed = 0;
@@ -932,10 +1017,11 @@ fn fill_banded_lanes(
 
 /// Fills the upper-triangle `raw` slots by evaluating `kernel` on every
 /// pair, in parallel over `threads` workers with one [`DtwScratch`] per
-/// worker. Slot `k` depends only on pair `k`, so results are bit-identical
-/// to the `threads == 1` sequential loop. With a cancellation token the
-/// workers stop claiming pairs once it fires; the return value is the
-/// number of pairs actually computed (always `pairs.len()` without one).
+/// worker: the sweep of every measure but the banded one. Slot `k` depends
+/// only on pair `k`, so results are bit-identical to the `threads == 1`
+/// sequential loop. With a cancellation token the workers stop claiming
+/// pairs once it fires; the return value is the number of pairs actually
+/// computed (always `pairs.len()` without one).
 #[allow(clippy::too_many_arguments)]
 // vp-lint: allow(panic-reachability) — pair indices were built over prepared's range; k is bounded by the caller's split
 fn fill_pairs<K>(
@@ -949,7 +1035,7 @@ fn fill_pairs<K>(
     kernel: K,
 ) -> usize
 where
-    K: Fn(usize, usize, &[f64], &[f64], usize, &mut DtwScratch) -> f64 + Sync,
+    K: Fn(&[f64], &[f64], &mut DtwScratch) -> f64 + Sync,
 {
     let per_step = config.per_step_cost;
     let item = |k: usize, slot: &mut f64, scratch: &mut DtwScratch| {
@@ -957,10 +1043,9 @@ where
         let (i, j) = pairs[k];
         let a = prepared[i as usize].as_ref();
         let b = prepared[j as usize].as_ref();
-        let max_len = a.len().max(b.len());
-        let mut d = kernel(i as usize, j as usize, a, b, max_len, scratch);
+        let mut d = kernel(a, b, scratch);
         if per_step {
-            d /= max_len as f64;
+            d /= a.len().max(b.len()) as f64;
         }
         *slot = d;
         stats.pair_end(started, 1);
@@ -1245,42 +1330,98 @@ mod tests {
     #[test]
     fn cancelled_sweep_flags_partial_output() {
         let series = population(16); // 120 pairs
-        let full = compare(&series, &ComparisonConfig::default());
-        // An item budget computes exactly pairs 0..30 at any thread count:
-        // the lane sweep claims it up front and groups only that prefix.
-        for threads in [1, 2] {
-            let token = CancelToken::after_items(30);
-            let (pd, complete) = compare_cancellable_with_threads(
-                &series,
-                &ComparisonConfig::default(),
-                threads,
-                &token,
-            );
-            assert!(!complete);
-            assert!(token.is_cancelled());
-            // 120 - 30 abandoned pairs, all accounted as skipped.
-            assert_eq!(pd.degradation().pairs_skipped, 90, "{threads} thread(s)");
-            // The computed prefix is exact and matches the full sweep
-            // bit-for-bit; the rest is the NaN sentinel.
-            let mut k = 0;
-            for i in 0..pd.len() {
-                for j in (i + 1)..pd.len() {
-                    if k < 30 {
-                        assert_eq!(
-                            pd.raw_between(i, j).to_bits(),
-                            full.raw_between(i, j).to_bits(),
-                            "pair {k} at {threads} thread(s)"
-                        );
-                    } else {
-                        assert!(
-                            pd.raw_between(i, j).is_nan(),
-                            "pair {k} at {threads} thread(s)"
-                        );
+        let pruned = ComparisonConfig {
+            prune_threshold: Some(PRUNE_AT),
+            ..ComparisonConfig::default()
+        };
+        for config in [ComparisonConfig::default(), pruned] {
+            let full = compare(&series, &config);
+            // The cascade's decisions on pairs 0..30, pair by pair.
+            let expected = first_pairs_stages(&series, &config, 30);
+            if config.prune_threshold.is_some() {
+                assert!(expected.iter().all(|&c| c > 0), "stages {expected:?}");
+            }
+            // An item budget computes exactly pairs 0..30 at any thread
+            // count: the banded sweep claims it up front and groups only
+            // that prefix, with or without a prune threshold.
+            for threads in [1, 2] {
+                let token = CancelToken::after_items(30);
+                let (pd, complete, counters) =
+                    compare_impl(&series, &config, threads, Some(&token), None);
+                let what = format!("{threads} thread(s), {config:?}");
+                assert!(!complete);
+                assert!(token.is_cancelled());
+                // 120 - 30 abandoned pairs, all accounted as skipped.
+                assert_eq!(pd.degradation().pairs_skipped, 90, "{what}");
+                let seen = (
+                    counters.computed,
+                    counters.triage_rejected,
+                    counters.pruned_lb,
+                    counters.pruned_abandon,
+                );
+                assert_eq!(seen, (30, expected[0], expected[1], expected[2]), "{what}");
+                // The computed prefix matches the full sweep bit-for-bit;
+                // the rest is the NaN sentinel.
+                let mut k = 0;
+                for i in 0..pd.len() {
+                    for j in (i + 1)..pd.len() {
+                        if k < 30 {
+                            assert_eq!(
+                                pd.raw_between(i, j).to_bits(),
+                                full.raw_between(i, j).to_bits(),
+                                "pair {k} at {what}"
+                            );
+                        } else {
+                            assert!(pd.raw_between(i, j).is_nan(), "pair {k} at {what}");
+                        }
+                        k += 1;
                     }
-                    k += 1;
                 }
             }
         }
+    }
+
+    /// A prune threshold at which the first 30 pairs of `population(16)`
+    /// reach every stage of the cascade.
+    const PRUNE_AT: f64 = 0.01;
+
+    /// How many of the first `count` pairs of `series` the cascade settles
+    /// by the sketch bound, by LB_Keogh and by abandoning the DP, counted
+    /// pair by pair from the public kernels; all zero without a prune
+    /// threshold.
+    fn first_pairs_stages(
+        series: &[(IdentityId, Vec<f64>)],
+        config: &ComparisonConfig,
+        count: usize,
+    ) -> [u64; 3] {
+        use vp_timeseries::lowerbound::lb_keogh_envelope;
+        use vp_timeseries::sketch::sketch_lower_bound;
+        let (Some(threshold), DistanceMeasure::BandedDtw { band_fraction }) =
+            (config.prune_threshold, config.measure)
+        else {
+            return [0; 3];
+        };
+        let prepared: Vec<Vec<f64>> = series.iter().map(|(_, s)| z_score_enhanced(s)).collect();
+        let pairs = (0..prepared.len()).flat_map(|i| (i + 1..prepared.len()).map(move |j| (i, j)));
+        let mut stages = [0; 3];
+        for (i, j) in pairs.take(count) {
+            let (a, b) = (&prepared[i], &prepared[j]);
+            let max_len = a.len().max(b.len());
+            let band = band_width(max_len, band_fraction);
+            let t_raw = threshold * max_len as f64;
+            let sketch = sketch_lower_bound(&SeriesSketch::build(a), &SeriesSketch::build(b), band);
+            let stage = if sketch > t_raw {
+                0
+            } else if lb_keogh_envelope(a, &KeoghEnvelope::build(b, band)) > t_raw {
+                1
+            } else if dtw_banded(a, b, band, Some(t_raw), &mut DtwScratch::new()).is_pruned() {
+                2
+            } else {
+                continue;
+            };
+            stages[stage] += 1;
+        }
+        stages
     }
 
     #[test]

@@ -37,7 +37,15 @@
 //!     same-shape pairs two at a time in those lanes, against the scalar
 //!     DP pair by pair: groups of every parity, length-1 series, empty
 //!     anti-diagonals, radii past both lengths, point costs that overflow
-//!     to `+∞` and a series Eq. 7 maps partly to NaN, which runs alone.
+//!     to `+∞` and a series Eq. 7 maps partly to NaN, which runs alone;
+//! 11. the per-shape plans the pruned sweep reads: the sketch bound through
+//!     a `SketchPlan` against the 16×16 segment scan, and LB_Keogh through
+//!     a `KeoghRows` table against the walked form and the scalar LB, on
+//!     shapes from one sample to 250, with empty segments, `±0.0`,
+//!     non-finite samples and radii from 0 to `usize::MAX`;
+//! 12. `KeoghEnvelope::build`'s sliding scans against the monotone-stack
+//!     tables, entry by entry and bit for bit, on series with NaN, `±∞`
+//!     and `±0.0`.
 //!
 //! The contract is every non-NaN bit, and NaN exactly where the oracle
 //! gives NaN. The NaN's sign bit is not part of it: an `∞ − ∞` NaN can
@@ -50,7 +58,7 @@ mod oracle;
 
 use oracle::{
     float_band, scalar_banded, scalar_exact, scalar_fast_dtw_with_path, scalar_lb_keogh,
-    scalar_windowed_path,
+    scalar_windowed_path, scanned_sketch_bound, stack_envelope,
 };
 use voiceprint::comparator::{
     compare_cancellable_with_threads, compare_sequential, ComparisonConfig,
@@ -61,8 +69,9 @@ use vp_timeseries::dtw::{
     dtw, dtw_banded, dtw_banded_lanes, dtw_with_path, BandPlan, BoundedDistance,
 };
 use vp_timeseries::fastdtw::{fast_dtw, fast_dtw_with_path};
-use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope};
+use vp_timeseries::lowerbound::{lb_keogh_envelope, KeoghEnvelope, KeoghRows};
 use vp_timeseries::normalize::z_score_enhanced;
+use vp_timeseries::sketch::{sketch_lower_bound, SeriesSketch, SketchPlan};
 use vp_timeseries::window::{sakoe_chiba_range, SakoeChibaEdges};
 use vp_timeseries::DtwScratch;
 
@@ -720,4 +729,163 @@ fn lane_sweep_matches_the_oracle() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The pruned sweep's per-shape plans and the sliding envelope tables.
+// ---------------------------------------------------------------------
+
+/// `len` samples drawn from uniform noise, exact zeros of both signs and
+/// `bad`, at about `bad_per_mille` ‰, shifted by `offset` (zeros stay
+/// zeros, so a shifted series still carries them).
+fn spiky(rng: &mut SplitMix64, len: usize, offset: f64, bad: f64, bad_per_mille: u64) -> Vec<f64> {
+    (0..len)
+        .map(|_| match rng.range_u64(0..1000) {
+            k if k < bad_per_mille => bad,
+            k if k < 100 => 0.0,
+            k if k < 200 => -0.0,
+            _ => rng.range_f64(-5.0..5.0) + offset,
+        })
+        .collect()
+}
+
+/// The planned sketch bound against the segment scan, bit for bit, on
+/// shapes from 1 to 250 samples (below 16, some segments are empty), at
+/// radii 0, 1, a few narrow ones, `max(N, M)` and `usize::MAX`; one case
+/// in eight carries a NaN or `±∞` sample and must give `+0.0`.
+#[test]
+fn sketch_plans_match_the_scan() {
+    let lengths: Vec<usize> = (1..=33)
+        .chain([47, 64, 97, 128, 186, 200, 201, 250])
+        .collect();
+    let mut rng = SplitMix64::seed_from_u64(60_000);
+    let (mut checked, mut positive, mut poisoned) = (0, 0, 0);
+    for &n in &lengths {
+        for &m in &lengths {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.range_usize(0..3)];
+            let per_mille = if rng.range_u64(0..8) == 0 { 30 } else { 0 };
+            let x = spiky(&mut rng, n, 0.0, bad, per_mille);
+            let offset = [0.0, 7.0, -9.0][rng.range_usize(0..3)];
+            let y = spiky(&mut rng, m, offset, bad, per_mille);
+            let (sx, sy) = (SeriesSketch::build(&x), SeriesSketch::build(&y));
+            let finite = sx.is_finite() && sy.is_finite();
+            for radius in [0, 1, 2, 5, 10, n.max(m), usize::MAX] {
+                let what = format!("{n}x{m} r={radius}");
+                let oracle = scanned_sketch_bound(&sx, &sy, radius);
+                let planned = SketchPlan::new(n, m, radius).lower_bound(&sx, &sy);
+                assert_eq!(planned.to_bits(), oracle.to_bits(), "{what}: plan");
+                assert_eq!(
+                    sketch_lower_bound(&sx, &sy, radius).to_bits(),
+                    oracle.to_bits(),
+                    "{what}: single pair"
+                );
+                if !finite {
+                    assert_eq!(planned.to_bits(), 0.0f64.to_bits(), "{what}: non-finite");
+                    poisoned += 1;
+                }
+                positive += usize::from(planned > 0.0);
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        positive > checked / 4 && poisoned > 0,
+        "{positive} positive, {poisoned} poisoned of {checked}"
+    );
+}
+
+/// LB_Keogh through a shape's row table against the walked form and the
+/// scalar LB, on one-row and one-column shapes, `N > M`, `M ≥ 2N` and
+/// equal lengths, with `±0.0`, NaN and `±∞` samples, at radii from 0 to
+/// `usize::MAX`.
+#[test]
+fn lb_row_tables_match_the_walk() {
+    let shapes = [
+        (1usize, 1usize),
+        (1, 9),
+        (9, 1),
+        (2, 2),
+        (7, 3),
+        (3, 7),
+        (40, 13),
+        (13, 40),
+        (20, 41),
+        (50, 200),
+        (200, 190),
+        (190, 200),
+        (201, 201),
+    ];
+    let mut rng = SplitMix64::seed_from_u64(61_000);
+    for (n, m) in shapes {
+        let rows = KeoghRows::new(n, m);
+        for bad in [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let x = spiky(&mut rng, n, 2.0, bad, 40);
+            let y = spiky(&mut rng, m, 0.0, bad, 40);
+            for radius in [0usize, 1, 3, 10, m, usize::MAX] {
+                let envelope = KeoghEnvelope::build(&y, radius);
+                let what = format!("{n}x{m} r={radius} bad={bad}");
+                let walked = lb_keogh_envelope(&x, &envelope);
+                assert_eq!(
+                    rows.lower_bound(&x, &envelope).to_bits(),
+                    walked.to_bits(),
+                    "{what}: table vs walk"
+                );
+                assert_same(walked, scalar_lb_keogh(&x, &y, radius), &what);
+            }
+        }
+    }
+}
+
+/// `KeoghEnvelope::build` against the monotone stack, every entry bit for
+/// bit, NaN payloads included: lengths 1–64, radii 0 to `usize::MAX`
+/// (where `k + r − 1` would overflow), and series with NaN, `±∞` and
+/// `±0.0` samples, or none.
+#[test]
+fn sliding_tables_match_the_stack() {
+    let mut rng = SplitMix64::seed_from_u64(62_000);
+    let mut nan_entries = 0;
+    for len in 1..=64usize {
+        for case in 0..6 {
+            let bad = [
+                0.25,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                f64::NAN,
+            ][case];
+            let mut y = spiky(&mut rng, len, 0.0, bad, 60);
+            if case == 5 {
+                // A NaN with a payload at one end or the other.
+                let end = if len % 2 == 0 { 0 } else { len - 1 };
+                y[end] = f64::from_bits(f64::NAN.to_bits() | 0x5a5a);
+            }
+            for radius in [
+                0,
+                1,
+                2,
+                3,
+                5,
+                11,
+                len - 1,
+                len,
+                len + 1,
+                usize::MAX - 1,
+                usize::MAX,
+            ] {
+                let table = KeoghEnvelope::build(&y, radius);
+                let oracle = stack_envelope(&y, radius);
+                assert_eq!(table.entries().len(), oracle.len(), "len {len} r={radius}");
+                for (e, (got, want)) in table.entries().iter().zip(&oracle).enumerate() {
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "len {len} r={radius} case {case}: entry {e} of {y:?}"
+                    );
+                    nan_entries += usize::from(want[0].is_nan());
+                }
+            }
+        }
+    }
+    assert!(nan_entries > 0, "no window started on a NaN");
 }

@@ -2,12 +2,14 @@
 //!
 //! `vp-timeseries` computes every DTW distance and warp path with one
 //! anti-diagonal (wavefront) dynamic program over walked integer band
-//! edges, and every LB_Keogh bound by reading per-series envelope tables
+//! edges, every LB_Keogh bound by reading per-series envelope tables built
+//! by sliding scans, and every sketch bound through a per-shape plan
 //! (DESIGN.md §14). This module keeps the textbook forms — the row-major
 //! scalar DP with its early-abandon rule, the per-row branch LB_Keogh with
-//! its deque envelope, the `f64` Sakoe–Chiba band edges both of them run
-//! on, and the row-major path DP with FastDTW's recursion around it — with
-//! their own buffers.
+//! its deque envelope, the monotone-stack envelope tables, the sketch
+//! bound's segment-by-segment scan, the `f64` Sakoe–Chiba band edges the
+//! DP and LB_Keogh run on, and the row-major path DP with FastDTW's
+//! recursion around it — with their own buffers.
 //!
 //! `tests/kernel_oracle.rs` runs the adversarial sweep against them;
 //! `tests/comparison_cascade.rs` and `tests/pipeline_properties.rs` run
@@ -17,6 +19,8 @@
 
 use vp_timeseries::dtw::{point_cost, BoundedDistance};
 use vp_timeseries::series::coarsen;
+use vp_timeseries::sketch::{SeriesSketch, SKETCH_SEGMENTS};
+use vp_timeseries::window::sakoe_chiba_range;
 
 /// Row `i`'s Sakoe–Chiba range in `f64`: `ceil(q − radius)` to
 /// `floor(q + radius)` around `q = i·(cols−1)/(rows−1)`, clamped, with the
@@ -155,6 +159,106 @@ pub fn scalar_lb_keogh(x: &[f64], y: &[f64], radius: usize) -> f64 {
         } else if xi < lower {
             sum += point_cost(xi, lower);
         }
+    }
+    sum
+}
+
+/// `KeoghEnvelope::build`'s tables by the monotone stack: per column `k`
+/// the full window's `[max, min]`, then the half window's, then the whole
+/// series'. A window's entry is the front of a monotone deque — pop the
+/// back while it is `≤` the new column (`≥` for minima), expire from the
+/// front — found as the first element at or right of the window's left
+/// edge on a stack pushed with no expiry: pops from the back never depend
+/// on what expired. Both window edges are non-decreasing in the order
+/// half(k), full(k), half(k+1), …, so one stack and one front pointer
+/// serve every window, in `O(M)`.
+pub fn stack_envelope(y: &[f64], radius: usize) -> Vec<[f64; 2]> {
+    assert!(!y.is_empty(), "lb_keogh requires non-empty series");
+    let m = y.len();
+    let mut entries = vec![[f64::NAN; 2]; 2 * m + 1];
+    for (slot, pops) in [
+        (0, (|back, new| back <= new) as fn(f64, f64) -> bool),
+        (1, |back, new| back >= new),
+    ] {
+        let last = m - 1;
+        let mut stack: Vec<usize> = Vec::new();
+        let mut front = 0usize;
+        let mut next = 0usize;
+        // Pushes columns up to `hi`, then moves `front` to the first
+        // stacked column at or right of `lo`, and returns its sample.
+        let mut front_at = |lo: usize, hi: usize, stack: &mut Vec<usize>| {
+            while next <= hi {
+                while stack.last().is_some_and(|&b| pops(y[b], y[next])) {
+                    stack.pop();
+                }
+                front = front.min(stack.len());
+                stack.push(next);
+                next += 1;
+            }
+            while stack[front] < lo {
+                front += 1;
+            }
+            y[stack[front]]
+        };
+        for k in 0..m {
+            let lo = k.saturating_sub(radius);
+            if radius > 0 {
+                entries[2 * k + 1][slot] =
+                    front_at(lo, k.saturating_add(radius - 1).min(last), &mut stack);
+            }
+            entries[2 * k][slot] = front_at(lo, k.saturating_add(radius).min(last), &mut stack);
+            if radius == 0 {
+                entries[2 * k + 1][slot] = entries[2 * k][slot];
+            }
+        }
+        // Every column is pushed; the window `[0, last]`'s front is the
+        // first.
+        entries[2 * m][slot] = y[stack[0]];
+    }
+    entries
+}
+
+/// The sketch bound by scanning: for each non-empty x-segment, the band
+/// columns of its first and last rows from `sakoe_chiba_range`, and all
+/// 16 y-segments tested against them, the overlapping ones folded
+/// ascending into one envelope.
+pub fn scanned_sketch_bound(x: &SeriesSketch, y: &SeriesSketch, radius: usize) -> f64 {
+    let (n, m) = (x.len(), y.len());
+    if n == 0 || m == 0 || !x.is_finite() || !y.is_finite() {
+        return 0.0;
+    }
+    let segment =
+        |len: usize, s: usize| (s * len / SKETCH_SEGMENTS, (s + 1) * len / SKETCH_SEGMENTS);
+    let mut sum = 0.0;
+    for s in 0..SKETCH_SEGMENTS {
+        let (ra, rb) = segment(n, s);
+        if ra == rb {
+            continue;
+        }
+        let col_lo = sakoe_chiba_range(n, m, radius, ra).0;
+        let col_hi = sakoe_chiba_range(n, m, radius, rb - 1).1;
+        let mut env_min = f64::INFINITY;
+        let mut env_max = f64::NEG_INFINITY;
+        for t in 0..SKETCH_SEGMENTS {
+            let (ca, cb) = segment(m, t);
+            if ca == cb || cb <= col_lo || ca > col_hi {
+                continue;
+            }
+            env_min = env_min.min(y.minima()[t]);
+            env_max = env_max.max(y.maxima()[t]);
+        }
+        if env_min > env_max {
+            continue;
+        }
+        let (x_min, x_max) = (x.minima()[s], x.maxima()[s]);
+        let gap = if x_min > env_max {
+            x_min - env_max
+        } else if x_max < env_min {
+            env_min - x_max
+        } else {
+            0.0
+        };
+        sum += (rb - ra) as f64 * (gap * gap);
     }
     sum
 }
